@@ -10,13 +10,15 @@ Three kernels are provided, each a seeded single-step function:
   interval (hold 1/2, then 1/6 each for switch / hinge flip /
   addition-deletion).
 
-Move attempts draw ordered node tuples uniformly, repeats allowed; a
-degenerate tuple simply fails the edge tests, which keeps the transition
-rows exactly enumerable.
+Each kernel lists its moves once, in its move table; ``step`` and
+``run_with_rng`` both read the table.  Move attempts draw ordered node
+tuples uniformly, repeats allowed; a degenerate tuple simply fails the edge
+tests, which keeps the transition rows exactly enumerable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,11 +96,55 @@ def add_delete_move(g, pair, interval):
     return g.with_edges(add=[(v, w)])
 
 
+_PURE_MOVES = {
+    "switch": lambda g, quad, iv: switch_move(g, quad),
+    "hinge": hinge_flip_move,
+    "add_delete": add_delete_move,
+}
+
+
 # --- kernels -----------------------------------------------------------------
 
 
+class _TableKernel:
+    """A kernel driven by its move table.
+
+    ``table`` is (hold, ((move, attempt probability, arity), ...)).  A step
+    draws u = rng.random() and holds if u < hold; otherwise it attempts the
+    first move whose cut point, hold plus the attempt probabilities up to
+    and including its own, exceeds u, on ``arity`` node labels drawn by one
+    rng.integers call.
+    """
+
+    @property
+    def n(self):
+        return self.interval.n
+
+    def move_probabilities(self):
+        return {move: p for move, p, _ in self.table[1]}
+
+    def branches(self, impls):
+        """(hold, [(cut, impls[move], arity), ...]); the last cut is infinite."""
+        hold, moves = self.table
+        cut, out = hold, []
+        for move, p, arity in moves:
+            cut += p
+            out.append((cut, impls[move], arity))
+        out[-1] = (math.inf,) + out[-1][1:]
+        return hold, out
+
+    def step(self, g, rng):
+        hold, branches = self.branches(_PURE_MOVES)
+        u = rng.random()
+        if u < hold:
+            return g
+        for cut, move, arity in branches:
+            if u < cut:
+                return move(g, tuple(rng.integers(0, self.n, size=arity).tolist()), self.interval)
+
+
 @dataclass(frozen=True)
-class SwitchKernel:
+class SwitchKernel(_TableKernel):
     """Lazy switch chain on G(d)."""
 
     d: tuple
@@ -113,29 +159,26 @@ class SwitchKernel:
     def n(self):
         return len(self.d)
 
+    @property
+    def interval(self):
+        """G(d) is the interval class with lower = upper = d."""
+        return DegreeInterval(self.d, self.d)
+
+    @property
+    def table(self):
+        return 1.0 - 1.0 / self.q, (("switch", 1.0 / self.q, 4),)
+
     def contains(self, g):
         return g.n == self.n and g.degree_sequence() == self.d
 
-    def move_probabilities(self):
-        return {"switch": 1.0 / self.q}
-
-    def step(self, g, rng):
-        if rng.random() < 1.0 - 1.0 / self.q:
-            return g
-        quad = tuple(rng.integers(0, self.n, size=4))
-        return switch_move(g, quad)
-
 
 @dataclass(frozen=True)
-class SwitchHingeFlipKernel:
+class SwitchHingeFlipKernel(_TableKernel):
     """Switch-hinge-flip chain on the graphs in an interval with fixed edge count."""
 
     interval: DegreeInterval
     m: int
-
-    @property
-    def n(self):
-        return self.interval.n
+    table = (2.0 / 3.0, (("switch", 1.0 / 6.0, 4), ("hinge", 1.0 / 6.0, 3)))
 
     def contains(self, g):
         return (
@@ -144,48 +187,16 @@ class SwitchHingeFlipKernel:
             and self.interval.contains_graph(g)
         )
 
-    def move_probabilities(self):
-        return {"switch": 1.0 / 6.0, "hinge": 1.0 / 6.0}
-
-    def step(self, g, rng):
-        u = rng.random()
-        if u < 2.0 / 3.0:
-            return g
-        if u < 5.0 / 6.0:
-            quad = tuple(rng.integers(0, self.n, size=4))
-            return switch_move(g, quad)
-        triple = tuple(rng.integers(0, self.n, size=3))
-        return hinge_flip_move(g, triple, self.interval)
-
 
 @dataclass(frozen=True)
-class DegreeIntervalKernel:
+class DegreeIntervalKernel(_TableKernel):
     """Chain on all graphs with degrees in an interval (edge count varies)."""
 
     interval: DegreeInterval
-
-    @property
-    def n(self):
-        return self.interval.n
+    table = (0.5, (("switch", 1.0 / 6.0, 4), ("hinge", 1.0 / 6.0, 3), ("add_delete", 1.0 / 6.0, 2)))
 
     def contains(self, g):
         return g.n == self.n and self.interval.contains_graph(g)
-
-    def move_probabilities(self):
-        return {"switch": 1.0 / 6.0, "hinge": 1.0 / 6.0, "add_delete": 1.0 / 6.0}
-
-    def step(self, g, rng):
-        u = rng.random()
-        if u < 0.5:
-            return g
-        if u < 0.5 + 1.0 / 6.0:
-            quad = tuple(rng.integers(0, self.n, size=4))
-            return switch_move(g, quad)
-        if u < 0.5 + 2.0 / 6.0:
-            triple = tuple(rng.integers(0, self.n, size=3))
-            return hinge_flip_move(g, triple, self.interval)
-        pair = tuple(rng.integers(0, self.n, size=2))
-        return add_delete_move(g, pair, self.interval)
 
 
 def run(kernel, g0, cfg):
@@ -197,52 +208,25 @@ def run(kernel, g0, cfg):
 
 
 def run_with_rng(kernel, g0, steps, rng):
-    """Run loop on a mutable edge set; only builds a Graph at the end."""
-    n = kernel.n
+    """Run loop on a mutable edge set; only builds a Graph at the end.
+
+    Consumes the same draws as repeated kernel.step calls."""
+    n, iv = kernel.n, kernel.interval
     edges = set(g0.edges)
     deg = list(g0.degree_sequence())
-    kind = type(kernel).__name__
-
-    if kind == "SwitchKernel":
-        p_hold = 1.0 - 1.0 / kernel.q
-        for _ in range(steps):
-            if rng.random() < p_hold:
-                continue
-            v, w, x, y = rng.integers(0, n, size=4)
-            _try_switch(edges, int(v), int(w), int(x), int(y))
-        return Graph(n, frozenset(edges))
-
-    iv = kernel.interval
-    if kind == "SwitchHingeFlipKernel":
-        for _ in range(steps):
-            u = rng.random()
-            if u < 2.0 / 3.0:
-                continue
-            if u < 5.0 / 6.0:
-                v, w, x, y = rng.integers(0, n, size=4)
-                _try_switch(edges, int(v), int(w), int(x), int(y))
-            else:
-                v, w, x = rng.integers(0, n, size=3)
-                _try_hinge(edges, deg, iv, int(v), int(w), int(x))
-        return Graph(n, frozenset(edges))
-
+    hold, branches = kernel.branches(_MUTABLE_MOVES)
     for _ in range(steps):
         u = rng.random()
-        if u < 0.5:
+        if u < hold:
             continue
-        if u < 0.5 + 1.0 / 6.0:
-            v, w, x, y = rng.integers(0, n, size=4)
-            _try_switch(edges, int(v), int(w), int(x), int(y))
-        elif u < 0.5 + 2.0 / 6.0:
-            v, w, x = rng.integers(0, n, size=3)
-            _try_hinge(edges, deg, iv, int(v), int(w), int(x))
-        else:
-            v, w = rng.integers(0, n, size=2)
-            _try_toggle(edges, deg, iv, int(v), int(w))
+        for cut, move, arity in branches:
+            if u < cut:
+                move(edges, deg, iv, *rng.integers(0, n, size=arity).tolist())
+                break
     return Graph(n, frozenset(edges))
 
 
-def _try_switch(edges, v, w, x, y):
+def _try_switch(edges, deg, iv, v, w, x, y):
     if w == v or x == y:
         return
     e_wv, e_xy = _norm_edge(w, v), _norm_edge(x, y)
@@ -288,3 +272,6 @@ def _try_toggle(edges, deg, iv, v, w):
         edges.add(e)
         deg[v] += 1
         deg[w] += 1
+
+
+_MUTABLE_MOVES = {"switch": _try_switch, "hinge": _try_hinge, "add_delete": _try_toggle}

@@ -6,7 +6,8 @@ deterministic given its inputs and --seed.  Flag values override
 environment variables (prefix DEGMC_), which override defaults.
 
 Exit codes: 0 success, 1 verification failure, 2 infeasible instance,
-3 parse/usage error.
+3 parse/usage error, 4 instance beyond an exact path's size cap,
+5 the count estimator drew no member of a subclass.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INFEASIBLE = 2
 EXIT_PARSE = 3
+EXIT_TOO_LARGE = 4
+EXIT_NO_HITS = 5
 
 
 def _env_default(name, cast, fallback):
@@ -64,8 +67,8 @@ def _build_parser():
         description=(
             "Sampling and approximate counting of graphs with per-node degree "
             "intervals.  Flags override DEGMC_* environment variables "
-            "(DEGMC_SEED, DEGMC_STEPS, DEGMC_EPS, DEGMC_DELTA, DEGMC_CHAIN, "
-            "DEGMC_THREADS), which override defaults."
+            "(DEGMC_SEED, DEGMC_STEPS, DEGMC_EPS, DEGMC_DELTA, DEGMC_CHAIN), "
+            "which override defaults."
         ),
     )
     sub = p.add_subparsers(dest="command", required=True)
@@ -73,7 +76,6 @@ def _build_parser():
     def common(sp):
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--output", type=str, default=None)
-        sp.add_argument("--threads", type=int, default=None)
 
     sp = sub.add_parser("ingest", help="degree intervals from a partially observed graph")
     sp.add_argument("edges", help="edge-list file of the observed graph")
@@ -139,7 +141,6 @@ def _resolve(args):
             raise ParseError("eps and delta must lie in (0,1)")
     if hasattr(args, "chain"):
         args.chain = args.chain or _env_default("CHAIN", str, "interval")
-    args.threads = args.threads if args.threads is not None else _env_default("THREADS", int, 1)
     if hasattr(args, "steps") and args.steps < 0:
         raise ParseError("steps must be non-negative")
     return args
@@ -643,6 +644,12 @@ def main(argv=None):
     except (Infeasible, NotGraphical, counting.OddResidue) as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except oracle.TooLarge as e:
+        print(f"too large: {e}", file=sys.stderr)
+        return EXIT_TOO_LARGE
+    except counting.ZeroHits as e:
+        print(f"no hits: {e}", file=sys.stderr)
+        return EXIT_NO_HITS
 
 
 if __name__ == "__main__":

@@ -270,20 +270,20 @@ def _descent_counts(lower, upper):
     n = len(lower)
     i = next((k for k in range(n) if lower[k] < upper[k]), None)
     if i is None:
-        return None, None, None
+        return None, None
     branch = []
     for v in range(lower[i], upper[i] + 1):
         lo = lower[:i] + (v,) + lower[i + 1 :]
         hi = upper[:i] + (v,) + upper[i + 1 :]
         branch.append(_exact_interval_count_cached(lo, hi, None))
-    return i, tuple(branch), None
+    return i, tuple(branch)
 
 
 def _sample_degree_sequence(iv, rng):
     """A degree sequence drawn with probability |G(d)| / |G(l,u)|."""
     lower, upper = iv.lower, iv.upper
     while True:
-        i, branch, _ = _descent_counts(lower, upper)
+        i, branch = _descent_counts(lower, upper)
         if i is None:
             return lower
         total = sum(branch)

@@ -208,11 +208,15 @@ def is_graphical(d):
     if max(d) > n - 1:
         return False
     s = sorted(d, reverse=True)
-    prefix = 0
+    prefix = list(itertools.accumulate(s, initial=0))
+    j = n  # s[i] >= k exactly for i < j; j only moves left as k grows
     for k in range(1, n + 1):
-        prefix += s[k - 1]
-        tail = sum(min(x, k) for x in s[k:])
-        if prefix > k * (k - 1) + tail:
+        while j > 0 and s[j - 1] < k:
+            j -= 1
+        # sum(min(x, k) for x in s[k:]): k for each i in [k, j), s[i] beyond
+        b = max(j, k)
+        tail = k * (b - k) + prefix[n] - prefix[b]
+        if prefix[k] > k * (k - 1) + tail:
             return False
     return True
 

@@ -1,16 +1,15 @@
 """Exact desk-scale ground truth for the chains and counting machinery.
 
 Everything here is exhaustive or exact: state spaces are enumerated as edge
-bitmasks, transition matrices are built row by row from the move
-definitions, and counts come from an independent memoized recursion.  All
-of it is meant for small n (enumeration is capped at n = 8) and is used to
-verify the provable properties of the samplers.
+bitmasks, transition matrices are built from the moves' toggle bit
+patterns, vectorized over the states, and counts come from an independent
+memoized recursion.  All of it is meant for small n (enumeration is capped
+at n = 8) and is used to verify the provable properties of the samplers.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,7 +18,6 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from .graphs import Graph
-from .chains import DegreeIntervalKernel, SwitchHingeFlipKernel, SwitchKernel
 
 DENSE_LIMIT = 4096
 ENUMERATION_CAP = 8
@@ -284,66 +282,10 @@ def _binom(a, b):
 # --- transition matrices -----------------------------------------------------
 
 
-def _move_targets(g, kernel):
-    """All (target_graph, probability) pairs for one step from g, aggregated.
-
-    Probabilities reflect the exact counts of ordered tuples that trigger
-    each move: 4/n^4 orderings per switch, 1/n^3 per hinge flip, 2/n^2 per
-    toggle, scaled by the kernel's per-move attempt probabilities.
-    """
-    n = kernel.n
-    probs = kernel.move_probabilities()
-    adj = g.adjacency()
-    deg = g.degree_sequence()
-    edges = sorted(g.edges)
-    out = {}
-
-    def add(target, p):
-        out[target] = out.get(target, 0.0) + p
-
-    if "switch" in probs:
-        p_unit = probs["switch"] * 4.0 / n**4
-        for (a, b), (c, dd) in itertools.combinations(edges, 2):
-            if len({a, b, c, dd}) < 4:
-                continue
-            # two rewirings of the disjoint edge pair
-            for (p1, p2) in (((a, c), (b, dd)), ((a, dd), (b, c))):
-                if p1[1] in adj[p1[0]] or p2[1] in adj[p2[0]]:
-                    continue
-                add(g.with_edges(add=[p1, p2], remove=[(a, b), (c, dd)]), p_unit)
-
-    if "hinge" in probs:
-        iv = kernel.interval
-        p_unit = probs["hinge"] / n**3
-        for (a, b) in edges:
-            for v, w in ((a, b), (b, a)):  # v loses the edge, w is the pivot
-                if deg[v] - 1 < iv.lower[v]:
-                    continue
-                for x in range(n):
-                    if x == w or x == v or x in adj[w]:
-                        continue
-                    if deg[x] + 1 > iv.upper[x]:
-                        continue
-                    add(g.with_edges(add=[(w, x)], remove=[(w, v)]), p_unit)
-
-    if "add_delete" in probs:
-        iv = kernel.interval
-        p_unit = probs["add_delete"] * 2.0 / n**2
-        for v, w in itertools.combinations(range(n), 2):
-            if w in adj[v]:
-                if deg[v] - 1 >= iv.lower[v] and deg[w] - 1 >= iv.lower[w]:
-                    add(g.with_edges(remove=[(v, w)]), p_unit)
-            else:
-                if deg[v] + 1 <= iv.upper[v] and deg[w] + 1 <= iv.upper[w]:
-                    add(g.with_edges(add=[(v, w)]), p_unit)
-
-    return out
-
-
 def transition_row_reference(kernel, g):
     """One transition row by brute-force enumeration of every ordered tuple.
 
-    Slow; exists as an independent cross-check of _move_targets.
+    Slow; exists as an independent cross-check of build_matrix.
     """
     from . import chains
 
@@ -374,28 +316,50 @@ def transition_row_reference(kernel, g):
 def build_matrix(kernel, space, dense_limit=DENSE_LIMIT):
     """Exact single-step transition matrix of the kernel over the space.
 
+    One vectorized pass over the state masks per toggle pattern: a state
+    whose bits under the pattern equal one submask moves to the state with
+    the other whenever the target's degrees stay in kernel.interval, with
+    probability (attempt probability) * (ordered tuples firing it) / n^arity.
     Dense up to dense_limit states, sparse CSR beyond.  Raises Mismatch if
-    a state violates the kernel's constraints.
+    a state violates the kernel's constraints or a legal move leaves the
+    space.
     """
-    size = len(space)
-    rows, cols, vals = [], [], []
+    n, masks, size = kernel.n, space.masks, len(space)
+    if space.n != n:
+        raise Mismatch(f"space has n={space.n}, kernel has n={n}")
+    lo, hi = np.array(kernel.interval.lower), np.array(kernel.interval.upper)
+    deg = space.degrees().astype(np.int64)
+    ok = np.all((lo <= deg) & (deg <= hi), axis=1)
+    if hasattr(kernel, "m"):
+        ok &= _popcount(masks) == kernel.m
+    if not ok.all():
+        raise Mismatch(f"state {int(np.argmin(ok))} violates the kernel constraints")
+    moves = {move: (p, arity) for move, p, arity in kernel.table[1]}
+    nm = node_bit_masks(n)
     diag = np.ones(size)
-    for i in range(size):
-        g = space.graph(i)
-        if not kernel.contains(g):
-            raise Mismatch(f"state {i} violates the kernel constraints")
-        for target, p in _move_targets(g, kernel).items():
-            j = space.index_of(target)
-            if j == i:
-                continue
-            rows.append(i)
-            cols.append(j)
-            vals.append(p)
-            diag[i] -= p
-    rows.extend(range(size))
-    cols.extend(range(size))
-    vals.extend(diag)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+    rows, cols, vals = [np.arange(size)], [np.arange(size)], [diag]
+    for move, t, subs, tuples in _toggle_patterns(n, moves):
+        p, arity = moves[move]
+        t64, w = np.int64(t), p * tuples / n**arity
+        under = masks & t64
+        for a, b in (subs, subs[::-1]):
+            src = np.flatnonzero(under == a)
+            for v in range(n):
+                dv = (b & nm[v]).bit_count() - (a & nm[v]).bit_count()
+                if dv:
+                    src = src[(lo[v] <= deg[src, v] + dv) & (deg[src, v] + dv <= hi[v])]
+            target = masks[src] ^ t64
+            dst = np.minimum(np.searchsorted(masks, target), size - 1)
+            missing = masks[dst] != target
+            if missing.any():
+                raise Mismatch(f"a legal {move} move from state {src[missing][0]} leaves the space")
+            diag[src] -= w
+            rows.append(src)
+            cols.append(dst)
+            vals.append(np.full(len(src), w))
+    mat = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
+    )
     if size <= dense_limit:
         return mat.toarray()
     return mat
@@ -498,19 +462,26 @@ def congestion_check(P, pi=None):
 
 
 def _toggle_patterns(n, moves):
-    """(toggle_mask, (valid_submask_a, valid_submask_b)) for each local move."""
+    """(move, toggle_mask, (valid_submask_a, valid_submask_b), tuples) per local move.
+
+    A state whose bits under toggle_mask equal one submask moves to the
+    state with the other; tuples counts the ordered node tuples that fire
+    the move from either side: 2 for an addition/deletion ((v,w) and
+    (w,v)), 1 for a hinge flip (v, w, x) and 4 for a switch (either edge
+    as {w,v}, either end as v).
+    """
     bit = pair_bit(n)
     pats = []
     if "add_delete" in moves:
         for p, b in bit.items():
-            pats.append((b, (0, b)))
+            pats.append(("add_delete", b, (0, b), 2))
     if "hinge" in moves:
         for w in range(n):
             others = [v for v in range(n) if v != w]
             for v, x in itertools.combinations(others, 2):
                 b1 = bit[tuple(sorted((w, v)))]
                 b2 = bit[tuple(sorted((w, x)))]
-                pats.append((b1 | b2, (b1, b2)))
+                pats.append(("hinge", b1 | b2, (b1, b2), 1))
     if "switch" in moves:
         for quad in itertools.combinations(range(n), 4):
             a, b, c, d = quad
@@ -518,7 +489,7 @@ def _toggle_patterns(n, moves):
             m2 = bit[(a, c)] | bit[(b, d)]
             m3 = bit[(a, d)] | bit[(b, c)]
             for x, y in ((m1, m2), (m1, m3), (m2, m3)):
-                pats.append((x | y, (x, y)))
+                pats.append(("switch", x | y, (x, y), 4))
     return pats
 
 
@@ -534,7 +505,7 @@ def state_graph_components(space, moves=("switch", "hinge", "add_delete")):
     if size == 0:
         return 0, np.array([], dtype=int)
     rows, cols = [], []
-    for t, (va, vb) in _toggle_patterns(space.n, moves):
+    for _, t, (va, vb), _ in _toggle_patterns(space.n, moves):
         t64 = np.int64(t)
         anded = masks & t64
         sel = (anded == va) | (anded == vb)
@@ -908,19 +879,3 @@ def verify_martin_randall(P, partition, pi=None):
         "disconnected_blocks": disconnected,
         "num_blocks": q,
     }
-
-
-# --- structured reports ------------------------------------------------------
-
-
-def report_line(instance, quantity, bound, measured, passed):
-    """One structured JSON verification record."""
-    return json.dumps(
-        {
-            "instance": instance,
-            "quantity": quantity,
-            "bound": bound,
-            "measured": measured,
-            "pass": bool(passed),
-        }
-    )

@@ -141,7 +141,7 @@ class TestKernels:
 
 
 class TestTransitionRows:
-    """The aggregated row builder vs exhaustive ordered-tuple enumeration."""
+    """The vectorized matrix builder vs exhaustive ordered-tuple enumeration."""
 
     def test_switch_row_hand_count(self):
         # From G = {01, 23} on 4 nodes: 8 of the 256 ordered tuples fire,
@@ -155,47 +155,40 @@ class TestTransitionRows:
             assert p == pytest.approx((1 / 6) * 4 / 256)
         assert row[g] == pytest.approx(1 - (1 / 6) * 8 / 256)
 
+    @staticmethod
+    def assert_rows_agree(k, space, tol):
+        """Every full row of build_matrix matches the reference.
+
+        Off-diagonal entries agree within tol and their sums within 1e-14.
+        The reference's diagonal is a running sum of one term per ordered
+        tuple, so it agrees within that sum's rounding bound, (number of
+        terms) * machine epsilon.
+        """
+        P = oracle._as_dense(oracle.build_matrix(k, space))
+        terms = 1 + sum(k.n**arity for _, _, arity in k.table[1])
+        for i in range(len(space)):
+            ref = np.zeros(len(space))
+            for t, p in oracle.transition_row_reference(k, space.graph(i)).items():
+                ref[space.index_of(t)] += p
+            off = np.arange(len(space)) != i
+            assert P[i, off] == pytest.approx(ref[off], abs=tol)
+            assert P[i, off].sum() == pytest.approx(ref[off].sum(), abs=1e-14)
+            assert P[i, i] == pytest.approx(ref[i], abs=terms * np.finfo(float).eps)
+
     @pytest.mark.parametrize("n,r", [(4, 1), (4, 2), (5, 2)])
     def test_switch_kernel_rows_agree(self, n, r):
         k = SwitchKernel(d=(r,) * n)
-        space = oracle.enumerate_graphs(n, d=k.d)
-        for i in range(len(space)):
-            g = space.graph(i)
-            ref = oracle.transition_row_reference(k, g)
-            fast = oracle._move_targets(g, k)
-            for t, p in ref.items():
-                if t == g:
-                    continue
-                assert fast.get(t, 0.0) == pytest.approx(p, abs=1e-15)
-            assert sum(fast.values()) == pytest.approx(
-                sum(p for t, p in ref.items() if t != g), abs=1e-14
-            )
+        self.assert_rows_agree(k, oracle.enumerate_graphs(n, d=k.d), 1e-15)
 
     def test_interval_kernel_rows_agree(self):
         iv = DegreeInterval((1,) * 4, (2,) * 4)
         k = DegreeIntervalKernel(iv)
-        space = oracle.enumerate_graphs(4, interval=iv)
-        for i in range(len(space)):
-            g = space.graph(i)
-            ref = oracle.transition_row_reference(k, g)
-            fast = oracle._move_targets(g, k)
-            for t, p in ref.items():
-                if t == g:
-                    continue
-                assert fast.get(t, 0.0) == pytest.approx(p, abs=1e-15)
+        self.assert_rows_agree(k, oracle.enumerate_graphs(4, interval=iv), 1e-15)
 
     def test_switch_hinge_kernel_rows_agree(self):
         iv = DegreeInterval((0,) * 4, (2,) * 4)
         k = SwitchHingeFlipKernel(iv, m=3)
-        space = oracle.enumerate_graphs(4, interval=iv, m=3)
-        for i in range(len(space)):
-            g = space.graph(i)
-            ref = oracle.transition_row_reference(k, g)
-            fast = oracle._move_targets(g, k)
-            for t, p in ref.items():
-                if t == g:
-                    continue
-                assert fast.get(t, 0.0) == pytest.approx(p, abs=1e-15)
+        self.assert_rows_agree(k, oracle.enumerate_graphs(4, interval=iv, m=3), 1e-15)
 
     def test_empirical_step_frequencies(self):
         """Sampled one-step frequencies match the exact row."""

@@ -8,8 +8,10 @@ import pytest
 
 from degmc.cli import (
     EXIT_INFEASIBLE,
+    EXIT_NO_HITS,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_TOO_LARGE,
     EXIT_VERIFY_FAIL,
     main,
 )
@@ -135,6 +137,22 @@ class TestCount:
     def test_bad_eps(self, iv5):
         assert main(["count", iv5, "--eps", "1.5"]) == EXIT_PARSE
 
+    def test_beyond_enumeration_cap(self, tmp_path, capsys):
+        p = tmp_path / "iv.txt"
+        p.write_text("".join(f"{i} 2 3\n" for i in range(9)))
+        assert main(["count", str(p), "--seed", "0"]) == EXIT_TOO_LARGE
+        assert "too large" in capsys.readouterr().err
+
+    def test_no_subclass_hits(self, iv5, monkeypatch, capsys):
+        from degmc import counting
+
+        def no_hits(*args, **kwargs):
+            raise counting.ZeroHits("no subclass members in 8 draws")
+
+        monkeypatch.setattr(counting, "estimate_count", no_hits)
+        assert main(["count", iv5, "--seed", "0"]) == EXIT_NO_HITS
+        assert "no hits" in capsys.readouterr().err
+
 
 class TestLadderCmd:
     def test_ladder_json(self, iv5, capsys):
@@ -155,6 +173,13 @@ class TestAnalyze:
         assert rec["symmetric"] is True
         assert 0 < rec["spectral_gap"] < 1
         assert rec["states"] == 112
+
+    def test_beyond_dense_limit(self, tmp_path, capsys):
+        # [1,3]^6 has 8,285 states, above DENSE_LIMIT, so the gap cannot be taken
+        p = tmp_path / "iv.txt"
+        p.write_text("".join(f"{i} 1 3\n" for i in range(6)))
+        assert main(["analyze", str(p), "--chain", "interval"]) == EXIT_TOO_LARGE
+        assert "too large" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -121,6 +121,13 @@ class TestMatrices:
         with pytest.raises(Mismatch):
             oracle.build_matrix(SwitchKernel(d=(2, 2, 2, 2)), sp)
 
+    def test_mismatch_space_not_closed(self):
+        # additions and deletions leave the m = 3 slice of the interval
+        iv = DegreeInterval((0,) * 4, (2,) * 4)
+        sp = enumerate_graphs(4, interval=iv, m=3)
+        with pytest.raises(Mismatch):
+            oracle.build_matrix(DegreeIntervalKernel(iv), sp)
+
     def test_not_stochastic(self):
         with pytest.raises(NotStochastic):
             oracle.check_stochastic(np.array([[0.5, 0.4], [0.5, 0.5]]))
@@ -330,18 +337,3 @@ class TestMartinRandall:
         P = np.array([[0.75, 0.25], [0.25, 0.75]])
         rep = verify_martin_randall(P, [[0, 1]])
         assert rep["holds"] and rep["gap_projection"] == 1.0
-
-
-class TestReports:
-    def test_report_line(self):
-        import json
-
-        line = oracle.report_line("n=4", "gap", 0.1, 0.2, True)
-        rec = json.loads(line)
-        assert rec == {
-            "instance": "n=4",
-            "quantity": "gap",
-            "bound": 0.1,
-            "measured": 0.2,
-            "pass": True,
-        }
