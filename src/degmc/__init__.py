@@ -20,11 +20,9 @@ from .graphs import (
 )
 from .chains import (
     DegreeIntervalKernel,
-    RunConfig,
     SwitchHingeFlipKernel,
     SwitchKernel,
     make_rng,
-    run,
     spawn_rngs,
 )
 
@@ -37,7 +35,6 @@ __all__ = [
     "NearRegularParams",
     "NotGraphical",
     "ParseError",
-    "RunConfig",
     "SwitchHingeFlipKernel",
     "SwitchKernel",
     "intervals_from_observation",
@@ -47,7 +44,6 @@ __all__ = [
     "read_intervals",
     "realize",
     "realize_in_interval",
-    "run",
     "spawn_rngs",
     "write_edge_list",
     "write_intervals",

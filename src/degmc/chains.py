@@ -26,16 +26,6 @@ import numpy as np
 from .graphs import DegreeInterval, Graph, _norm_edge
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    steps: int
-    seed: int
-
-    def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError("steps must be non-negative")
-
-
 def make_rng(seed):
     """Counter-based generator; spawn_rngs() splits reproducible substreams."""
     return np.random.Generator(np.random.Philox(seed))
@@ -199,18 +189,13 @@ class DegreeIntervalKernel(_TableKernel):
         return g.n == self.n and self.interval.contains_graph(g)
 
 
-def run(kernel, g0, cfg):
-    """Apply cfg.steps kernel steps from g0; deterministic given cfg.seed."""
-    if not kernel.contains(g0):
-        raise ValueError("initial state is outside the kernel's state space")
-    rng = make_rng(cfg.seed)
-    return run_with_rng(kernel, g0, cfg.steps, rng)
-
-
 def run_with_rng(kernel, g0, steps, rng):
     """Run loop on a mutable edge set; only builds a Graph at the end.
 
-    Consumes the same draws as repeated kernel.step calls."""
+    Consumes the same draws as repeated kernel.step calls.  Raises
+    ValueError if g0 is outside the kernel's state space."""
+    if not kernel.contains(g0):
+        raise ValueError("initial state is outside the kernel's state space")
     n, iv = kernel.n, kernel.interval
     edges = set(g0.edges)
     deg = list(g0.degree_sequence())

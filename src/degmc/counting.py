@@ -190,17 +190,14 @@ def estimate_count_m(iv, m, eps, delta, rng=None, seed=None):
     if ladder.num_ratios == 0:
         return CountEstimate(log_final, eps, delta, method=final_method)
 
-    # enumerate each enclosing class once; degrees reused across rungs
-    spaces = []
-    for a in ladder.rungs[:-1]:
-        sp = oracle.enumerate_graphs(iv.n, interval=DegreeInterval(a, iv.upper), m=m)
-        spaces.append(sp)
-    final_iv = DegreeInterval(ladder.final_sequence, iv.upper)
-    final_sp = oracle.enumerate_graphs(iv.n, interval=final_iv, m=m)
-    all_spaces = spaces + [final_sp]
+    # every rung's class is the rows of G_m(l,u) with degrees >= its lower
+    # bounds; enumeration is in ascending mask order, so each class is in
+    # the order its own enumeration would give
+    deg = oracle.enumerate_graphs(iv.n, interval=iv, m=m).degrees()
+    classes = [np.all(deg >= np.asarray(a), axis=1) for a in ladder.rungs]
 
     # worst exact inverse ratio calibrates the sample size
-    sizes = [len(s) for s in all_spaces]
+    sizes = [int(np.count_nonzero(c)) for c in classes]
     if sizes[-1] == 0:
         return CountEstimate(-math.inf, eps, delta, method="infeasible")
     q_hat = max(sizes[k] / sizes[k + 1] for k in range(len(sizes) - 1))
@@ -210,11 +207,7 @@ def estimate_count_m(iv, m, eps, delta, rng=None, seed=None):
     ratios = []
     used = 0
     for k in range(ladder.num_ratios):
-        outer = spaces[k]
-        next_lower = np.asarray(ladder.rungs[k + 1], dtype=np.int64)
-        deg = outer.degrees()
-        member = np.all(deg >= next_lower, axis=1)
-        r, n_used = estimate_ratio(member, n_per, rng)
+        r, n_used = estimate_ratio(classes[k + 1][classes[k]], n_per, rng)
         ratios.append(r)
         used += n_used
         log_est -= math.log(r)

@@ -252,8 +252,11 @@ def realize(d):
 def _feasible_sequence(iv, m):
     """A graphical d with iv.lower <= d <= iv.upper and sum(d) = 2m, or None.
 
-    Greedy water-filling from the lower bounds, then a bounded local search;
-    falls back to exhaustive box scanning for small boxes.
+    Greedy water-filling from the lower bounds; if that is not graphical,
+    the balanced point of the slice decides.  Every point of the slice
+    majorizes the balanced point, and moving a unit from a degree to one at
+    least 2 smaller keeps a sequence graphical, so the slice holds a
+    graphical sequence iff its balanced point is one.
     """
     n = iv.n
     target = 2 * m
@@ -276,16 +279,21 @@ def _feasible_sequence(iv, m):
             return None
     if is_graphical(d):
         return tuple(d)
-    # Exhaustive scan of the box restricted to the right sum.
-    box = 1
-    for a, b in zip(lo, hi):
-        box *= b - a + 1
-        if box > 4_000_000:
-            return None
-    for cand in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-        if sum(cand) == target and is_graphical(cand):
-            return cand
-    return None
+    # Balanced point: clamp every coordinate to the highest level t whose
+    # sum fits, then lift enough coordinates sitting at t by one.
+    def level(t):
+        return [min(max(t, a), b) for a, b in zip(lo, hi)]
+
+    t = min(lo)
+    while t < max(hi) and sum(level(t + 1)) <= target:
+        t += 1
+    d = level(t)
+    excess = target - sum(d)
+    for i in range(n):
+        if excess > 0 and d[i] == t < hi[i]:
+            d[i] += 1
+            excess -= 1
+    return tuple(d) if is_graphical(d) else None
 
 
 def realize_in_interval(iv, m):

@@ -10,6 +10,7 @@ at n = 8) and is used to verify the provable properties of the samplers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -250,7 +251,7 @@ def _count_sorted(d):
         # rebuild the residual multiset
         new_vals = []
         for (idx, v, c), kv in zip(positive, pick):
-            ways *= _binom(c, kv)
+            ways *= math.comb(c, kv)
             new_vals.extend([v - 1] * kv + [v] * (c - kv))
         for i, v in enumerate(values):
             if v == 0:
@@ -270,13 +271,6 @@ def _compositions(k, caps):
     for take in range(min(k, head) + 1):
         for tail in _compositions(k - take, caps[1:]):
             yield (take,) + tail
-
-
-@lru_cache(maxsize=None)
-def _binom(a, b):
-    import math
-
-    return math.comb(a, b)
 
 
 # --- transition matrices -----------------------------------------------------

@@ -9,8 +9,9 @@ The graph chains project onto two coarser state spaces:
 * edge counts themselves, walked by a lazy birth-death chain whose
   mixing is controlled by log-concavity of the per-count weights.
 
-Explicit transition matrices for all three are built here at desk scale
-so their stationarity and spectral gaps can be checked exactly.
+Each degree-sequence move is defined once: the steps evaluate it on demand,
+at any n, and the explicit transition matrices sum it over all choices at
+desk scale, so their stationarity and spectral gaps can be checked exactly.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .graphs import DegreeInterval, Infeasible, _norm_edge  # noqa: F401
+from .graphs import DegreeInterval
 from .weights import WeightModel
 
 
@@ -73,7 +75,12 @@ def feasible_edge_counts(iv):
 
 @dataclass(frozen=True)
 class DegreeSpace:
-    """Degree sequences in an interval box with a fixed sum and positive weight."""
+    """Degree sequences in an interval box with a fixed sum and positive weight.
+
+    Membership and weights are computed on demand by ``log_weight``; only
+    ``elements``, ``index``, ``log_weights``, ``len`` and ``stationary``
+    enumerate the slice, once, so the step functions run at any n.
+    """
 
     interval: DegreeInterval
     m: int
@@ -83,35 +90,34 @@ class DegreeSpace:
     def n(self):
         return self.interval.n
 
+    def log_weight(self, d):
+        """log w(d); -inf off the box, off the slice sum(d) = 2m, or at zero weight."""
+        d = tuple(d)
+        if len(d) != self.n or sum(d) != 2 * self.m or not self.interval.contains(d):
+            return -math.inf
+        return self.model.log_weight(d)
+
+    def __contains__(self, d):
+        return self.log_weight(d) > -math.inf
+
+    @cached_property
+    def _slice(self):
+        """(members in enumeration order, their log weights, member -> position)."""
+        pts = enumerate_degree_vectors(self.interval, self.m)
+        members = {d: lw for d, lw in zip(pts, map(self.log_weight, pts)) if lw > -math.inf}
+        return list(members), np.array(list(members.values())), {d: k for k, d in enumerate(members)}
+
     def elements(self):
-        if not hasattr(self, "_elements"):
-            pts = enumerate_degree_vectors(self.interval, self.m)
-            kept, logs = [], []
-            for d in pts:
-                lw = self.model.log_weight(d)
-                if lw > -math.inf:
-                    kept.append(d)
-                    logs.append(lw)
-            object.__setattr__(self, "_elements", kept)
-            object.__setattr__(self, "_log_weights", np.array(logs))
-        return self._elements
+        return self._slice[0]
 
     def log_weights(self):
-        self.elements()
-        return self._log_weights
+        return self._slice[1]
 
     def index(self):
-        if not hasattr(self, "_index"):
-            object.__setattr__(
-                self, "_index", {d: i for i, d in enumerate(self.elements())}
-            )
-        return self._index
+        return self._slice[2]
 
     def __len__(self):
         return len(self.elements())
-
-    def __contains__(self, d):
-        return tuple(d) in self.index()
 
     def stationary(self):
         lw = self.log_weights()
@@ -119,7 +125,29 @@ class DegreeSpace:
         return p / p.sum()
 
 
+def _shift(d, i, j):
+    """d - e_i + e_j."""
+    d = list(d)
+    d[i] -= 1
+    d[j] += 1
+    return tuple(d)
+
+
 # --- Metropolis-Hastings single-unit exchange chain --------------------------
+
+
+def _unit_exchange(d, i, j, space):
+    """The exchange of one degree unit from i to j: (d - e_i + e_j, its
+    acceptance probability min(1, w(d')/w(d))), or None when i == j or the
+    proposal is not a member."""
+    if i == j:
+        return None
+    lw = space.log_weight(d)
+    prop = _shift(d, i, j)
+    lw_prop = space.log_weight(prop)
+    if lw_prop == -math.inf:
+        return None
+    return prop, math.exp(min(0.0, lw_prop - lw))
 
 
 def hinge_projection_step(d, space, rng):
@@ -130,100 +158,62 @@ def hinge_projection_step(d, space, rng):
     """
     if rng.random() < 0.5:
         return d
-    n = space.n
-    i, j = rng.integers(0, n, size=2)
-    i, j = int(i), int(j)
-    if i == j:
+    i, j = rng.integers(0, space.n, size=2)
+    move = _unit_exchange(d, int(i), int(j), space)
+    if move is None or rng.random() >= move[1]:
         return d
-    prop = list(d)
-    prop[i] -= 1
-    prop[j] += 1
-    prop = tuple(prop)
-    if prop not in space:
-        return d
-    idx = space.index()
-    lw = space.log_weights()
-    ratio = math.exp(min(0.0, lw[idx[prop]] - lw[idx[tuple(d)]]))
-    if rng.random() < ratio:
-        return prop
-    return d
+    return move[0]
 
 
 def hinge_projection_matrix(space):
     """Explicit transition matrix of the lazy single-unit exchange MH chain."""
-    elems = space.elements()
-    idx = space.index()
-    lw = space.log_weights()
-    n = space.n
-    size = len(elems)
-    P = np.zeros((size, size))
+    elems, idx, n = space.elements(), space.index(), space.n
+    P = np.zeros((len(elems), len(elems)))
     for a, d in enumerate(elems):
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                prop = list(d)
-                prop[i] -= 1
-                prop[j] += 1
-                prop = tuple(prop)
-                b = idx.get(prop)
-                if b is None:
-                    continue
-                P[a, b] += math.exp(min(0.0, lw[b] - lw[a])) / (2.0 * n**2)
-        P[a, a] = 1.0 - P[a].sum() + P[a, a]
+        for i, j in itertools.product(range(n), repeat=2):
+            move = _unit_exchange(d, i, j, space)
+            if move is not None:
+                P[a, idx[move[0]]] += move[1] / (2.0 * n**2)
+        P[a, a] = 1.0 - P[a].sum()
     return P
 
 
 # --- heat-bath load-exchange chain -------------------------------------------
 
 
-def _exchange_candidates(d, space):
-    """For each coordinate i: states >= d - e_i, i.e. d and d - e_i + e_j."""
-    idx = space.index()
-    n = space.n
-    per_i = []
-    for i in range(n):
-        cand = [idx[tuple(d)]]
-        for j in range(n):
-            if i == j:
-                continue
-            prop = list(d)
-            prop[i] -= 1
-            prop[j] += 1
-            b = idx.get(tuple(prop))
-            if b is not None:
-                cand.append(b)
-        per_i.append(cand)
-    return per_i
+def _heat_bath_row(d, i, space):
+    """The members dominating d - e_i (d, then each member d - e_i + e_j in
+    order of j) and their probabilities, proportional to weight."""
+    d = tuple(d)
+    cands, logs = [d], [space.log_weight(d)]
+    for j in range(space.n):
+        if j != i:
+            prop = _shift(d, i, j)
+            lw = space.log_weight(prop)
+            if lw > -math.inf:
+                cands.append(prop)
+                logs.append(lw)
+    lw = np.array(logs)
+    p = np.exp(lw - lw.max())
+    return cands, p / p.sum()
 
 
 def load_exchange_step(d, space, rng):
     """One heat-bath step: pick a coordinate i uniformly, then resample the
     state among all members dominating d - e_i, proportionally to weight."""
-    n = space.n
-    i = int(rng.integers(0, n))
-    cand = _exchange_candidates(d, space)[i]
-    lw = space.log_weights()[cand]
-    p = np.exp(lw - lw.max())
-    p /= p.sum()
-    choice = cand[int(rng.choice(len(cand), p=p))]
-    return space.elements()[choice]
+    cands, p = _heat_bath_row(d, int(rng.integers(0, space.n)), space)
+    return cands[int(rng.choice(len(cands), p=p))]
 
 
 def load_exchange_matrix(space):
     """Explicit transition matrix of the load-exchange chain."""
-    elems = space.elements()
-    lw = space.log_weights()
-    n = space.n
-    size = len(elems)
-    P = np.zeros((size, size))
+    elems, idx, n = space.elements(), space.index(), space.n
+    P = np.zeros((len(elems), len(elems)))
     for a, d in enumerate(elems):
-        for cand in _exchange_candidates(d, space):
-            sub = lw[cand]
-            p = np.exp(sub - sub.max())
-            p /= p.sum()
-            for b, pb in zip(cand, p):
-                P[a, b] += pb / n
+        for i in range(n):
+            cands, p = _heat_bath_row(d, i, space)
+            for c, pc in zip(cands, p):
+                P[a, idx[c]] += pc / n
     return P
 
 
@@ -305,13 +295,7 @@ def check_m_convex(points):
             for j in range(len(alpha)):
                 if alpha[j] >= beta[j]:
                     continue
-                a2 = list(alpha)
-                a2[i] -= 1
-                a2[j] += 1
-                b2 = list(beta)
-                b2[i] += 1
-                b2[j] -= 1
-                if tuple(a2) in member and tuple(b2) in member:
+                if _shift(alpha, i, j) in member and _shift(beta, j, i) in member:
                     ok = True
                     break
             if not ok:

@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 from degmc import oracle
 from degmc.chains import (
     DegreeIntervalKernel,
-    RunConfig,
     SwitchHingeFlipKernel,
     SwitchKernel,
     add_delete_move,
     hinge_flip_move,
     make_rng,
-    run,
     run_with_rng,
     spawn_rngs,
     switch_move,
@@ -101,16 +99,16 @@ class TestKernels:
 
     def test_run_rejects_bad_start(self):
         with pytest.raises(ValueError):
-            run(SwitchKernel(d=(2, 2, 2)), Graph.empty(3), RunConfig(steps=1, seed=0))
+            run_with_rng(SwitchKernel(d=(2, 2, 2)), Graph.empty(3), 1, make_rng(0))
 
     def test_run_deterministic(self):
         iv = DegreeInterval((1,) * 5, (2,) * 5)
         k = DegreeIntervalKernel(iv)
         g0 = oracle.enumerate_graphs(5, interval=iv).graph(0)
-        a = run(k, g0, RunConfig(steps=500, seed=42))
-        b = run(k, g0, RunConfig(steps=500, seed=42))
+        a = run_with_rng(k, g0, 500, make_rng(42))
+        b = run_with_rng(k, g0, 500, make_rng(42))
         assert a == b
-        c = run(k, g0, RunConfig(steps=500, seed=43))
+        c = run_with_rng(k, g0, 500, make_rng(43))
         # overwhelmingly likely to differ; both must stay in the space
         assert k.contains(a) and k.contains(c)
 

@@ -165,6 +165,13 @@ class TestLadderCmd:
     def test_infeasible_m(self, iv5):
         assert main(["ladder", iv5, "--m", "1"]) == EXIT_INFEASIBLE
 
+    def test_feasible_beyond_water_fill(self, tmp_path):
+        # water-fill is not graphical here, but (1,5,4,2,2,2,0,...) is
+        p = tmp_path / "iv29.txt"
+        rows = list(zip((0, 5, 4, 2, 1, 2), (1, 5, 5, 3, 3, 4))) + [(0, 1)] * 23
+        p.write_text("".join(f"{i} {lo} {hi}\n" for i, (lo, hi) in enumerate(rows)))
+        assert main(["ladder", str(p), "--m", "8"]) == EXIT_OK
+
 
 class TestAnalyze:
     def test_interval_diagnostics(self, iv5, capsys):

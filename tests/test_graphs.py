@@ -136,6 +136,31 @@ class TestDegreeInterval:
         iv = DegreeInterval((0, 0, 0), (1, 1, 1))
         assert _feasible_sequence(iv, 3) is None
 
+    def test_feasible_sequence_beyond_water_fill(self):
+        # water-fill is not graphical and the box has 2^26 * 72 points
+        iv = DegreeInterval((0, 5, 4, 2, 1, 2) + (0,) * 23, (1, 5, 5, 3, 3, 4) + (1,) * 23)
+        assert is_graphical((1, 5, 4, 2, 2, 2) + (0,) * 23)
+        d = _feasible_sequence(iv, 8)
+        assert d is not None and is_graphical(d) and iv.contains(d) and sum(d) == 16
+
+    def test_feasible_sequence_matches_box_scan(self):
+        """On every box with n <= 4, a sequence is found iff the slice holds one."""
+        for n in range(1, 5):
+            choices = [(a, b) for b in range(n) for a in range(b + 1)]
+            for box in itertools.product(choices, repeat=n):
+                iv = DegreeInterval(tuple(a for a, _ in box), tuple(b for _, b in box))
+                sums = {
+                    sum(p)
+                    for p in itertools.product(*(range(a, b + 1) for a, b in box))
+                    if is_graphical(p)
+                }
+                for m in range(sum(iv.lower) // 2, sum(iv.upper) // 2 + 1):
+                    d = _feasible_sequence(iv, m)
+                    if d is None:
+                        assert 2 * m not in sums, (box, m)
+                    else:
+                        assert is_graphical(d) and iv.contains(d) and sum(d) == 2 * m
+
 
 class TestNearRegular:
     def test_validation(self):

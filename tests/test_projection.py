@@ -9,7 +9,7 @@ import pytest
 
 from degmc import oracle
 from degmc.chains import make_rng
-from degmc.graphs import DegreeInterval
+from degmc.graphs import DegreeInterval, _feasible_sequence
 from degmc.projection import (
     DegreeSpace,
     MixedSums,
@@ -131,6 +131,27 @@ class TestLoadExchange:
         mask = off & (H > 0)
         ratio = np.maximum(H[mask] / L[mask], L[mask] / H[mask])
         assert ratio.max() <= n**3
+
+
+class TestOnDemand:
+    def test_steps_do_not_enumerate(self, monkeypatch):
+        """Both steps run on an n=300 slice without enumerating it."""
+        def refuse(*args):
+            raise AssertionError("the slice was enumerated")
+
+        monkeypatch.setattr("degmc.projection.enumerate_degree_vectors", refuse)
+        rng = np.random.default_rng(0)
+        lower = rng.integers(4, 6, size=300)
+        iv = DegreeInterval(tuple(lower), tuple(lower + rng.integers(0, 2, size=300)))
+        m = (sum(iv.lower) + sum(iv.upper)) // 4
+        space = DegreeSpace(iv, m, WeightModel("slc", m))
+        d = _feasible_sequence(iv, m)
+        rng = make_rng(3)
+        for step, steps in ((hinge_projection_step, 1000), (load_exchange_step, 50)):
+            for _ in range(steps):
+                d = step(d, space, rng)
+                assert iv.contains(d) and sum(d) == 2 * m
+        assert d in space
 
 
 class TestEdgeCountChain:
