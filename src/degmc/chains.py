@@ -14,16 +14,30 @@ Each kernel lists its moves once, in its move table; ``step`` and
 ``run_with_rng`` both read the table.  Move attempts draw ordered node
 tuples uniformly, repeats allowed; a degenerate tuple simply fails the edge
 tests, which keeps the transition rows exactly enumerable.
+
+Stream layout (``RNG_LAYOUT`` 2): every step consumes one row of ``ROW``
+doubles from ``rng.random``, whether it holds or moves.  The row is u, which
+picks hold or a move, then four node draws x, of which a move reads its
+first ``arity``; node label floor(x * n).  ``step`` draws one row,
+``run_with_rng`` draws blocks of ``BLOCK`` rows, and both read them through
+``_decode``, so a run of s steps is draw for draw s calls of ``step`` and
+consumes exactly ``ROW * s`` doubles.  Layout 1 drew u by ``rng.random()``
+and the labels by one ``rng.integers(0, n, size=arity)`` call.  Labels come
+from floats because numpy fills bounded 32-bit integers from a per-call
+buffer, so a block call and per-step calls would drift apart.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import DegreeInterval, Graph, _norm_edge
+
+RNG_LAYOUT = 2  # version of the stream layout below; the sample manifest records it
+ROW = 5  # doubles per step: u, then four node draws
+BLOCK = 4096  # rows per rng.random call in run_with_rng
 
 
 def make_rng(seed):
@@ -100,10 +114,10 @@ class _TableKernel:
     """A kernel driven by its move table.
 
     ``table`` is (hold, ((move, attempt probability, arity), ...)).  A step
-    draws u = rng.random() and holds if u < hold; otherwise it attempts the
-    first move whose cut point, hold plus the attempt probabilities up to
-    and including its own, exceeds u, on ``arity`` node labels drawn by one
-    rng.integers call.
+    reads one row of the stream (module docstring): it holds if u < hold;
+    otherwise it attempts the first move whose cut point, hold plus the
+    attempt probabilities up to and including its own, exceeds u, on the
+    row's first ``arity`` node labels.
     """
 
     @property
@@ -114,23 +128,38 @@ class _TableKernel:
         return {move: p for move, p, _ in self.table[1]}
 
     def branches(self, impls):
-        """(hold, [(cut, impls[move], arity), ...]); the last cut is infinite."""
+        """(hold, cuts, [(impls[move], arity), ...]).
+
+        ``cuts`` holds every cut point but the last, which is taken as
+        infinite, so that ``_decode`` maps each u >= hold to a move."""
         hold, moves = self.table
-        cut, out = hold, []
-        for move, p, arity in moves:
+        cut, cuts = hold, []
+        for _, p, _ in moves[:-1]:
             cut += p
-            out.append((cut, impls[move], arity))
-        out[-1] = (math.inf,) + out[-1][1:]
-        return hold, out
+            cuts.append(cut)
+        return hold, np.array(cuts), [(impls[move], arity) for move, _, arity in moves]
 
     def step(self, g, rng):
-        hold, branches = self.branches(_PURE_MOVES)
-        u = rng.random()
-        if u < hold:
+        hold, cuts, branches = self.branches(_PURE_MOVES)
+        moves, labels = _decode(rng.random((1, ROW)), hold, cuts, self.n)
+        if not moves:
             return g
-        for cut, move, arity in branches:
-            if u < cut:
-                return move(g, tuple(rng.integers(0, self.n, size=arity).tolist()), self.interval)
+        move, arity = branches[moves[0]]
+        return move(g, tuple(column[0] for column in labels[:arity]), self.interval)
+
+
+def _decode(rows, hold, cuts, n):
+    """The moves of a block of stream rows, in order: (move numbers, label columns).
+
+    Held rows (u < hold) are dropped.  A move number indexes the kernel's
+    branches.  The labels come as four lists, one per node draw, of
+    floor(x * n), which is at most n - 1 for every double x < 1; columns
+    rather than one list per row, so that a block allocates five lists and
+    not thousands for the garbage collector to scan."""
+    live = np.flatnonzero(rows[:, 0] >= hold)
+    moves = np.searchsorted(cuts, rows[live, 0], side="right")
+    labels = (rows[live, 1:] * n).astype(np.intp)
+    return moves.tolist(), labels.T.tolist()
 
 
 @dataclass(frozen=True)
@@ -190,24 +219,24 @@ class DegreeIntervalKernel(_TableKernel):
 
 
 def run_with_rng(kernel, g0, steps, rng):
-    """Run loop on a mutable edge set; only builds a Graph at the end.
+    """Run ``steps`` steps on a mutable edge set; only builds a Graph at the end.
 
-    Consumes the same draws as repeated kernel.step calls.  Raises
-    ValueError if g0 is outside the kernel's state space."""
+    Draws the stream in blocks of ``BLOCK`` rows, the last cut to the steps
+    that remain, and applies each non-held row's move in place, so it
+    returns what ``steps`` calls of kernel.step return and leaves ``rng`` in
+    the same state.  Raises ValueError if g0 is outside the kernel's state
+    space."""
     if not kernel.contains(g0):
         raise ValueError("initial state is outside the kernel's state space")
     n, iv = kernel.n, kernel.interval
     edges = set(g0.edges)
     deg = list(g0.degree_sequence())
-    hold, branches = kernel.branches(_MUTABLE_MOVES)
-    for _ in range(steps):
-        u = rng.random()
-        if u < hold:
-            continue
-        for cut, move, arity in branches:
-            if u < cut:
-                move(edges, deg, iv, *rng.integers(0, n, size=arity).tolist())
-                break
+    hold, cuts, branches = kernel.branches(_MUTABLE_MOVES)
+    for start in range(0, steps, BLOCK):
+        moves, labels = _decode(rng.random((min(BLOCK, steps - start), ROW)), hold, cuts, n)
+        for row in zip(moves, *labels):
+            move, arity = branches[row[0]]
+            move(edges, deg, iv, *row[1 : arity + 1])
     return Graph(n, frozenset(edges))
 
 

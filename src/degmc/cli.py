@@ -23,6 +23,7 @@ import numpy as np
 
 from . import counting, oracle, projection
 from .chains import (
+    RNG_LAYOUT,
     DegreeIntervalKernel,
     SwitchHingeFlipKernel,
     SwitchKernel,
@@ -230,6 +231,7 @@ def cmd_sample(args):
         "m": args.m,
         "instance_hash": _instance_hash(iv),
         "files": files,
+        "rng_layout": RNG_LAYOUT,
     }
     with open(f"{base}_manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

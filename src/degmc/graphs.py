@@ -9,6 +9,7 @@ edge sets and only builds a Graph at the end.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 
 
@@ -351,10 +352,13 @@ def read_edge_list(path, n=None):
 
 
 def write_edge_list(path, g):
-    with open(path, "w") as fh:
-        fh.write(f"# n={g.n}\n")
-        for (i, j) in sorted(g.edges):
-            fh.write(f"{i} {j}\n")
+    text = f"# n={g.n}\n" + "".join(f"{i} {j}\n" for (i, j) in sorted(g.edges))
+    # Overwrite in place, then cut to length.  Truncating to zero on open
+    # makes ext4 start writing the file back to disk at close (auto_da_alloc),
+    # a disk flush per file that costs more than the write itself.
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write(text)
+        fh.truncate()
 
 
 def read_intervals(path):

@@ -1,5 +1,6 @@
 """The three local-move kernels: exact move semantics and transition rows."""
 
+import copy
 import itertools
 from collections import Counter
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from degmc import oracle
 from degmc.chains import (
+    BLOCK,
     DegreeIntervalKernel,
     SwitchHingeFlipKernel,
     SwitchKernel,
@@ -136,6 +138,27 @@ class TestKernels:
             for _ in range(2000):
                 g_slow = kernel.step(g_slow, rng)
             assert g_fast == g_slow
+
+
+    def test_block_boundaries(self):
+        """At every run length around the block size, run_with_rng returns
+        what repeated kernel.step returns and leaves the rng where it does."""
+        iv = DegreeInterval((1,) * 6, (3,) * 6)
+        kernels = (
+            (SwitchKernel(d=(2,) * 5), oracle.enumerate_graphs(5, d=(2,) * 5)),
+            (SwitchHingeFlipKernel(iv, m=6), oracle.enumerate_graphs(6, interval=iv, m=6)),
+            (DegreeIntervalKernel(iv), oracle.enumerate_graphs(6, interval=iv)),
+        )
+        lengths = {0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7}
+        for kernel, space in kernels:
+            g0 = space.graph(len(space) // 2)
+            g_slow, rng_slow = g0, make_rng(3)
+            for done in range(max(lengths) + 1):
+                if done in lengths:
+                    rng_fast = make_rng(3)
+                    assert run_with_rng(kernel, g0, done, rng_fast) == g_slow
+                    assert rng_fast.random() == copy.deepcopy(rng_slow).random()
+                g_slow = kernel.step(g_slow, rng_slow)
 
 
 class TestTransitionRows:

@@ -15,6 +15,7 @@ from degmc.cli import (
     EXIT_VERIFY_FAIL,
     main,
 )
+from degmc.chains import RNG_LAYOUT
 from degmc.graphs import read_edge_list, read_intervals
 
 
@@ -96,6 +97,7 @@ class TestSample:
         man = json.load(open(f"{b1}_manifest.json"))
         assert man["seed"] == 4 and man["chain"] == "interval" and man["steps"] == 100
         assert "instance_hash" in man and len(man["files"]) == 2
+        assert man["rng_layout"] == RNG_LAYOUT == 2
 
     def test_switch_needs_constant_interval(self, iv5):
         assert main(["sample", iv5, "--chain", "switch", "--steps", "10"]) == EXIT_INFEASIBLE

@@ -206,6 +206,15 @@ class TestFiles:
         write_edge_list(path, g)
         assert read_edge_list(path) == g
 
+    def test_edge_list_overwrite(self, tmp_path):
+        """Rewriting a file with a shorter edge list leaves only the new one."""
+        path = tmp_path / "g.edges"
+        write_edge_list(path, Graph.from_edges(9, [(i, i + 1) for i in range(8)]))
+        g = Graph.from_edges(3, [(0, 2)])
+        write_edge_list(path, g)
+        assert path.read_text() == "# n=3\n0 2\n"
+        assert read_edge_list(path) == g
+
     def test_edge_list_comments_and_errors(self, tmp_path):
         p = tmp_path / "a.edges"
         p.write_text("# header\n0 1\n\n1 2  # trailing\n")
