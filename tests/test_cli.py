@@ -184,9 +184,18 @@ class TestAnalyze:
         assert rec["states"] == 112
 
     def test_beyond_dense_limit(self, tmp_path, capsys):
-        # [1,3]^6 has 8,285 states, above DENSE_LIMIT, so the gap cannot be taken
+        # [1,3]^6 has 8,285 states, above DENSE_LIMIT: the matrix stays sparse
         p = tmp_path / "iv.txt"
         p.write_text("".join(f"{i} 1 3\n" for i in range(6)))
+        assert main(["analyze", str(p), "--chain", "interval"]) == EXIT_OK
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["states"] == 8285
+        assert 0 < rec["spectral_gap"] < 1
+        assert rec["symmetric"] is True
+
+    def test_beyond_enumeration_cap(self, tmp_path, capsys):
+        p = tmp_path / "iv.txt"
+        p.write_text("".join(f"{i} 1 2\n" for i in range(9)))
         assert main(["analyze", str(p), "--chain", "interval"]) == EXIT_TOO_LARGE
         assert "too large" in capsys.readouterr().err
 

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degmc import oracle
-from degmc.chains import DegreeIntervalKernel, SwitchKernel, make_rng
+from degmc import oracle, projection
+from degmc.chains import DegreeIntervalKernel, SwitchHingeFlipKernel, SwitchKernel, make_rng
 from degmc.graphs import DegreeInterval, Graph, is_graphical
 from degmc.oracle import (
     AlternatingPath,
@@ -162,6 +163,117 @@ class TestMatrices:
         gap = spectral_gap(P)
         t = int(oracle.mixing_time_bound(1 / len(sp), 1 - gap, 0.01)) + 1
         assert max(tv_curve(P, 0, t)[-1:]) <= 0.01
+
+
+def eigvalsh_gap(P, pi=None):
+    """1 - second largest eigenvalue of the dense symmetrization."""
+    P = P.toarray() if sparse.issparse(P) else np.asarray(P, dtype=float)
+    root = np.sqrt(np.full(len(P), 1.0 / len(P)) if pi is None else np.asarray(pi))
+    S = (root[:, None] / root[None, :]) * P
+    return float(1.0 - np.linalg.eigvalsh(0.5 * (S + S.T))[-2])
+
+
+def acceptance_1_matrices():
+    """Matrices of every kernel on the acceptance-1 spaces, n = 4..6."""
+    from test_acceptance import near_regular_sequences, near_regular_unit_instances
+
+    for n in range(4, 7):
+        for d in near_regular_sequences(n):
+            yield SwitchKernel(d=d), enumerate_graphs(n, d=d)
+        for iv in near_regular_unit_instances(n):
+            yield DegreeIntervalKernel(iv), enumerate_graphs(n, interval=iv)
+            for m in projection.feasible_edge_counts(iv):
+                yield SwitchHingeFlipKernel(iv, m), enumerate_graphs(n, interval=iv, m=m)
+
+
+@pytest.fixture(scope="module")
+def large_matrices():
+    """Every matrix at or above the sparse crossover among the acceptance-1
+    spaces ([2,3]^6, 1,760 states, the largest), plus [1,3]^6 switch-hinge
+    at m = 5 (1,455 states)."""
+    iv = DegreeInterval((1,) * 6, (3,) * 6)
+    extra = [(SwitchHingeFlipKernel(iv, 5), enumerate_graphs(6, interval=iv, m=5))]
+    out = [
+        oracle.build_matrix(kernel, space)
+        for kernel, space in itertools.chain(acceptance_1_matrices(), extra)
+        if len(space) >= oracle.SPARSE_FROM
+    ]
+    assert len(out) == 29 and {1760, 1455} <= {len(P) for P in out}
+    return out
+
+
+class TestSparsePath:
+    """spectral_gap from SPARSE_FROM states on and tv_curve of a sparse matrix,
+    against the dense path."""
+
+    def test_gaps_match_eigvalsh(self, large_matrices):
+        for P in large_matrices:
+            gap = spectral_gap(P)
+            assert abs(gap - eigvalsh_gap(P)) <= 1e-12
+            assert spectral_gap(sparse.csr_matrix(P)) == gap
+            assert spectral_gap(P) == gap  # deterministic
+
+    def test_non_uniform_pi(self):
+        k = np.arange(500)
+        w = np.exp(-(((k - 230) / 70.0) ** 2))  # log-concave
+        assert verify_log_concave(w)[0]
+        P = projection.edge_count_matrix(w)
+        pi = w / w.sum()
+        gap = spectral_gap(P, pi)
+        assert abs(gap - eigvalsh_gap(P, pi)) <= 1e-12
+        assert gap >= projection.logconcave_gap_bound(w)
+        # P is not symmetric here, so this also checks the transpose
+        want = tv_curve(P, 0, 64, pi)
+        got = tv_curve(sparse.csr_matrix(P), 0, 64, pi)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-14
+
+    def test_disconnected_chain_has_gap_zero(self, large_matrices):
+        P = next(P for P in large_matrices if len(P) == 540)
+        two = sparse.block_diag([P, P], format="csr")
+        assert abs(spectral_gap(two)) <= 1e-12
+        assert abs(eigvalsh_gap(two)) <= 1e-12
+
+    def test_tiny_matrices(self, monkeypatch):
+        one = np.array([[1.0]])
+        two = np.array([[0.75, 0.25], [0.25, 0.75]])
+        three = np.array([[0.5, 0.5, 0.0], [0.5, 0.25, 0.25], [0.0, 0.25, 0.75]])
+        for P in (one, two, three):
+            for form in (P, sparse.csr_matrix(P)):
+                assert spectral_gap(form) == pytest.approx(
+                    1.0 if len(P) == 1 else eigvalsh_gap(P), abs=1e-12
+                )
+            assert tv_curve(sparse.csr_matrix(P), 0, 6) == pytest.approx(tv_curve(P, 0, 6), abs=1e-14)
+        # ARPACK with k = 2 needs at least three states
+        monkeypatch.setattr(oracle, "SPARSE_FROM", 3)
+        assert abs(spectral_gap(sparse.csr_matrix(three)) - eigvalsh_gap(three)) <= 1e-12
+
+    def test_tv_curves_match(self, large_matrices):
+        for P in large_matrices[::4]:
+            x0 = len(P) // 3
+            want = tv_curve(P, x0, 32)
+            got = tv_curve(sparse.csr_matrix(P), x0, 32)
+            assert np.abs(np.subtract(got, want)).max() <= 1e-14
+
+    def test_never_densifies(self, monkeypatch):
+        iv = DegreeInterval((1,) * 6, (3,) * 6)
+        P = oracle.build_matrix(DegreeIntervalKernel(iv), enumerate_graphs(6, interval=iv))
+        assert sparse.issparse(P) and P.shape == (8285, 8285)  # above DENSE_LIMIT
+
+        def refuse(P):
+            raise AssertionError("densified")
+
+        monkeypatch.setattr(oracle, "_as_dense", refuse)
+        gap = spectral_gap(P)
+        assert 0 < gap < 1
+        curve = tv_curve(P, 0, 40)
+        assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))
+        size = P.shape[0]
+        for t, d in enumerate(curve):
+            assert d <= 0.5 * math.sqrt(size - 1) * (1 - gap) ** t + 1e-9
+        bad = P.copy()
+        bad.data[0] = -bad.data[0]
+        with pytest.raises(NotStochastic):
+            spectral_gap(bad)
 
 
 class TestCongestion:

@@ -1,8 +1,10 @@
-"""The benchmark's trace targets still name functions of the package."""
+"""The names the benchmark reads from the package still exist."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+from degmc import oracle
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -22,3 +24,6 @@ def test_trace_targets_resolve():
         assert callable(getattr(mod, attr, None)), f"degmc.{mod_name}.{attr}"
     # read by the span attributes of sample_realization
     assert isinstance(spans.counting.EXACT_SAMPLE_CAP, int)
+    # perfbench/workloads.py compares each space's size with it to pick the
+    # spaces that get a gap and a curve
+    assert isinstance(oracle.DENSE_LIMIT, int)
