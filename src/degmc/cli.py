@@ -276,9 +276,11 @@ def cmd_analyze(args):
         space = oracle.enumerate_graphs(iv.n, interval=iv, m=args.m)
     else:
         space = oracle.enumerate_graphs(iv.n, interval=iv)
+    size = len(space)
+    if size == 0:
+        raise Infeasible(f"{space.description} is empty")
     P = oracle.build_matrix(kernel, space)
     gap = oracle.spectral_gap(P)
-    size = len(space)
     report = {
         "chain": args.chain,
         "states": size,
@@ -313,10 +315,9 @@ def _suite_stationarity(n_max):
             if len(space) == 0:
                 continue
             P = oracle.build_matrix(DegreeIntervalKernel(iv), space)
-            P = oracle._as_dense(P)
-            sym = bool(np.allclose(P, P.T, atol=1e-12))
+            sym = bool(abs(P - P.T).max() <= 1e-12)
             pi = np.full(len(space), 1.0 / len(space))
-            stat = float(np.abs(pi @ P - pi).max())
+            stat = float(np.abs(P.T @ pi - pi).max())
             checks.append(
                 {
                     "instance": f"n={n} interval {iv.lower}-{iv.upper}",

@@ -6,13 +6,13 @@ patterns, vectorized over the states, and counts come from an independent
 memoized recursion.  All of it is meant for small n (enumeration is capped
 at n = 8) and is used to verify the provable properties of the samplers.
 
-``spectral_gap`` and ``tv_curve`` take a dense array or a CSR matrix.
-Below ``SPARSE_FROM`` states the gap comes from a full dense ``eigvalsh``;
-from ``SPARSE_FROM`` states on it is the smaller of the top two Lanczos
-eigenvalues (ARPACK) of the sparse symmetrized matrix.  The curve steps a
-sparse matrix by sparse products and a dense one by dense products.  Neither
-densifies a sparse matrix of ``SPARSE_FROM`` states or more, so both work on
-any space the enumeration reaches.
+Transition matrices are CSR at every size.  ``spectral_gap`` and
+``tv_curve`` take them, or a dense array, in one form chosen by size alone
+(``_spectral_form``): dense below ``SPARSE_FROM`` states, where the gap is
+a full ``eigvalsh``; CSR from there on, where the gap is the smaller of the
+top two Lanczos eigenvalues (ARPACK) of the sparse symmetrized matrix and
+the curve steps by sparse products.  So neither densifies a large matrix,
+and both work on any space the enumeration reaches.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ import scipy.sparse.linalg as spla
 
 from .graphs import Graph
 
-DENSE_LIMIT = 4096
+DENSE_LIMIT = 4096  # largest matrix _as_dense densifies
 ENUMERATION_CAP = 8
-# states from which spectral_gap takes the sparse path; below it a dense
+# states from which spectral_gap and tv_curve work on CSR; below it a dense
 # eigvalsh is faster (2 cores, numpy 2.4 / scipy 1.17)
 SPARSE_FROM = 256
 
@@ -319,16 +319,16 @@ def transition_row_reference(kernel, g):
     return row
 
 
-def build_matrix(kernel, space, dense_limit=DENSE_LIMIT):
+def build_matrix(kernel, space):
     """Exact single-step transition matrix of the kernel over the space.
 
     One vectorized pass over the state masks per toggle pattern: a state
     whose bits under the pattern equal one submask moves to the state with
     the other whenever the target's degrees stay in kernel.interval, with
     probability (attempt probability) * (ordered tuples firing it) / n^arity.
-    Dense up to dense_limit states, sparse CSR beyond.  Raises Mismatch if
-    a state violates the kernel's constraints or a legal move leaves the
-    space.
+    CSR at every size; callers that index it densely go through _as_dense.
+    Raises Mismatch if a state violates the kernel's constraints or a legal
+    move leaves the space.
     """
     n, masks, size = kernel.n, space.masks, len(space)
     if space.n != n:
@@ -363,15 +363,13 @@ def build_matrix(kernel, space, dense_limit=DENSE_LIMIT):
             rows.append(src)
             cols.append(dst)
             vals.append(np.full(len(src), w))
-    mat = sp.csr_matrix(
+    return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
     )
-    if size <= dense_limit:
-        return mat.toarray()
-    return mat
 
 
 def _as_dense(P):
+    """P as a dense float array; TooLarge above DENSE_LIMIT states."""
     if sp.issparse(P):
         if P.shape[0] > DENSE_LIMIT:
             raise TooLarge("matrix too large to densify")
@@ -379,10 +377,16 @@ def _as_dense(P):
     return np.asarray(P, dtype=float)
 
 
+def _spectral_form(P):
+    """P for spectral_gap and tv_curve: dense below SPARSE_FROM states, else CSR."""
+    if P.shape[0] < SPARSE_FROM:
+        return _as_dense(P)
+    return sp.csr_matrix(P, dtype=float)
+
+
 def _check_rows(P, tol):
     """Raise NotStochastic unless P, dense or sparse, is row-stochastic."""
-    entries = P.data if sp.issparse(P) else P
-    if np.any(entries < -tol):
+    if P.min() < -tol:
         raise NotStochastic("negative entries")
     if np.max(np.abs(np.asarray(P.sum(axis=1)).ravel() - 1.0)) > max(tol, 1e-12) * 10:
         raise NotStochastic("rows do not sum to 1")
@@ -415,17 +419,13 @@ def spectral_gap(P, pi=None):
     a disconnected chain has 1 twice and gap 0.  ArpackNoConvergence
     propagates rather than an unconverged value.
     """
+    P = _spectral_form(P)
+    _check_rows(P, 1e-9)
     size = P.shape[0]
-    dense = size < SPARSE_FROM
-    if dense:
-        P = check_stochastic(P, tol=1e-9)
-    else:
-        P = sp.csr_matrix(P, dtype=float)
-        _check_rows(P, 1e-9)
     if size == 1:
         return 1.0
     root = np.sqrt(np.full(size, 1.0 / size) if pi is None else np.asarray(pi, dtype=float))
-    if dense:
+    if size < SPARSE_FROM:
         S = (root[:, None] / root[None, :]) * P
         S = 0.5 * (S + S.T)  # clean symmetric roundoff
         return float(1.0 - np.linalg.eigvalsh(S)[-2])
@@ -438,16 +438,10 @@ def spectral_gap(P, pi=None):
 def tv_curve(P, x0, t_max, pi=None):
     """Total-variation distance from stationarity at t = 0..t_max from state x0.
 
-    A sparse P steps by products with its CSR transpose, built once; a dense
-    P by dense products.  A dense P stays dense at every size: converting it
-    to CSR scans the same N^2 entries as a dense product, and on [1,3]^6
-    costs more than a 32-step curve."""
-    size = P.shape[0]
-    if sp.issparse(P):
-        step = P.T.tocsr().dot
-    else:
-        P = _as_dense(P)
-        step = lambda dist: dist @ P  # noqa: E731
+    The distribution steps as P^T dist, in the form _spectral_form picks.
+    """
+    step = _spectral_form(P).T
+    size = step.shape[0]
     if pi is None:
         pi = np.full(size, 1.0 / size)
     dist = np.zeros(size)
@@ -455,7 +449,7 @@ def tv_curve(P, x0, t_max, pi=None):
     out = []
     for _ in range(t_max + 1):
         out.append(0.5 * float(np.abs(dist - pi).sum()))
-        dist = step(dist)
+        dist = step @ dist
     return out
 
 

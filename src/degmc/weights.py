@@ -72,6 +72,9 @@ def lw_log_weight(d):
     ln w(d) = ln sqrt(2) + 1/4 - s(d)^2
               + (n(n-1)/2) (mu ln mu + (1-mu) ln(1-mu))
               + sum_i ln C(n-1, d_i)
+
+    Raises DegenerateDensity on the empty and complete sequences (mu = 0 or
+    1), whose entropy term takes the log of zero.
     """
     d = tuple(int(x) for x in d)
     n = len(d)

@@ -184,7 +184,7 @@ class TestAnalyze:
         assert rec["states"] == 112
 
     def test_beyond_dense_limit(self, tmp_path, capsys):
-        # [1,3]^6 has 8,285 states, above DENSE_LIMIT: the matrix stays sparse
+        # [1,3]^6 has 8,285 states, above DENSE_LIMIT: nothing densifies it
         p = tmp_path / "iv.txt"
         p.write_text("".join(f"{i} 1 3\n" for i in range(6)))
         assert main(["analyze", str(p), "--chain", "interval"]) == EXIT_OK
@@ -199,12 +199,27 @@ class TestAnalyze:
         assert main(["analyze", str(p), "--chain", "interval"]) == EXIT_TOO_LARGE
         assert "too large" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("chain", [["interval"], ["switch-hinge", "--m", "2"]])
+    def test_empty_space(self, tmp_path, capsys, chain):
+        # node 0 needs degree 3 but every other node has degree 0
+        p = tmp_path / "iv.txt"
+        p.write_text("0 3 3\n1 0 0\n2 0 0\n3 0 0\n")
+        assert main(["analyze", str(p), "--chain", *chain]) == EXIT_INFEASIBLE
+        assert "is empty" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_passing_suite(self, capsys):
         assert main(["verify", "logconcave", "--n", "5"]) == EXIT_OK
         rec = json.loads(capsys.readouterr().out)
         assert rec["pass"] is True and rec["checks"]
+
+    def test_stationarity_n7(self, capsys):
+        # n = 7 reaches 35,150 states, far above DENSE_LIMIT
+        assert main(["verify", "stationarity", "--n", "7"]) == EXIT_OK
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["pass"] is True
+        assert any(c["instance"].startswith("n=7") for c in rec["checks"])
 
     def test_sbound_suite_passes(self, capsys):
         assert main(["verify", "sbound", "--n", "20"]) == EXIT_OK

@@ -60,6 +60,16 @@ class TestMasks:
         with pytest.raises(TooLarge):
             census(8)
 
+    def test_popcount_fallback(self, monkeypatch):
+        # numpy < 2.0 has no bitwise_count; the byte table is its only path
+        masks = make_rng(3).integers(0, 1 << 62, size=2000, dtype=np.int64)
+        masks = np.concatenate([masks, [0, (1 << 62) - 1]])
+        want = np.bitwise_count(masks)
+        monkeypatch.delattr(np, "bitwise_count")
+        got = oracle._popcount(masks)
+        assert np.array_equal(got, want)
+        assert got[-2:].tolist() == [0, 62]
+
 
 class TestEnumeration:
     def test_fixed_degree(self):
@@ -151,7 +161,7 @@ class TestMatrices:
     def test_interval_chain_symmetric_uniform(self):
         iv = DegreeInterval((1,) * 5, (2,) * 5)
         sp = enumerate_graphs(5, interval=iv)
-        P = oracle.build_matrix(DegreeIntervalKernel(iv), sp)
+        P = oracle.build_matrix(DegreeIntervalKernel(iv), sp).toarray()
         assert np.allclose(P, P.T)
         pi = np.full(len(sp), 1 / len(sp))
         assert np.abs(pi @ P - pi).max() < 1e-14
@@ -171,6 +181,19 @@ def eigvalsh_gap(P, pi=None):
     root = np.sqrt(np.full(len(P), 1.0 / len(P)) if pi is None else np.asarray(pi))
     S = (root[:, None] / root[None, :]) * P
     return float(1.0 - np.linalg.eigvalsh(0.5 * (S + S.T))[-2])
+
+
+def dense_tv_curve(P, x0, t_max, pi=None):
+    """TV distance from pi at t = 0..t_max, stepping dist @ P densely."""
+    P = P.toarray() if sparse.issparse(P) else np.asarray(P, dtype=float)
+    pi = np.full(len(P), 1.0 / len(P)) if pi is None else pi
+    dist = np.zeros(len(P))
+    dist[x0] = 1.0
+    out = []
+    for _ in range(t_max + 1):
+        out.append(0.5 * float(np.abs(dist - pi).sum()))
+        dist = dist @ P
+    return out
 
 
 def acceptance_1_matrices():
@@ -198,13 +221,13 @@ def large_matrices():
         for kernel, space in itertools.chain(acceptance_1_matrices(), extra)
         if len(space) >= oracle.SPARSE_FROM
     ]
-    assert len(out) == 29 and {1760, 1455} <= {len(P) for P in out}
+    assert len(out) == 29 and {1760, 1455} <= {P.shape[0] for P in out}
     return out
 
 
 class TestSparsePath:
-    """spectral_gap from SPARSE_FROM states on and tv_curve of a sparse matrix,
-    against the dense path."""
+    """spectral_gap and tv_curve from SPARSE_FROM states on, against dense
+    references written here."""
 
     def test_gaps_match_eigvalsh(self, large_matrices):
         for P in large_matrices:
@@ -223,12 +246,12 @@ class TestSparsePath:
         assert abs(gap - eigvalsh_gap(P, pi)) <= 1e-12
         assert gap >= projection.logconcave_gap_bound(w)
         # P is not symmetric here, so this also checks the transpose
-        want = tv_curve(P, 0, 64, pi)
-        got = tv_curve(sparse.csr_matrix(P), 0, 64, pi)
-        assert np.abs(np.subtract(got, want)).max() <= 1e-14
+        want = dense_tv_curve(P, 0, 64, pi)
+        for form in (P, sparse.csr_matrix(P)):
+            assert np.abs(np.subtract(tv_curve(form, 0, 64, pi), want)).max() <= 1e-14
 
     def test_disconnected_chain_has_gap_zero(self, large_matrices):
-        P = next(P for P in large_matrices if len(P) == 540)
+        P = next(P for P in large_matrices if P.shape[0] == 540)
         two = sparse.block_diag([P, P], format="csr")
         assert abs(spectral_gap(two)) <= 1e-12
         assert abs(eigvalsh_gap(two)) <= 1e-12
@@ -242,17 +265,19 @@ class TestSparsePath:
                 assert spectral_gap(form) == pytest.approx(
                     1.0 if len(P) == 1 else eigvalsh_gap(P), abs=1e-12
                 )
-            assert tv_curve(sparse.csr_matrix(P), 0, 6) == pytest.approx(tv_curve(P, 0, 6), abs=1e-14)
-        # ARPACK with k = 2 needs at least three states
+                assert tv_curve(form, 0, 6) == pytest.approx(dense_tv_curve(P, 0, 6), abs=1e-14)
+        # the sparse path on a tiny matrix; ARPACK with k = 2 needs at least
+        # three states
         monkeypatch.setattr(oracle, "SPARSE_FROM", 3)
         assert abs(spectral_gap(sparse.csr_matrix(three)) - eigvalsh_gap(three)) <= 1e-12
+        assert tv_curve(three, 0, 6) == pytest.approx(dense_tv_curve(three, 0, 6), abs=1e-14)
 
     def test_tv_curves_match(self, large_matrices):
         for P in large_matrices[::4]:
-            x0 = len(P) // 3
-            want = tv_curve(P, x0, 32)
-            got = tv_curve(sparse.csr_matrix(P), x0, 32)
-            assert np.abs(np.subtract(got, want)).max() <= 1e-14
+            x0 = P.shape[0] // 3
+            want = dense_tv_curve(P, x0, 32)
+            for form in (P, P.toarray()):
+                assert np.abs(np.subtract(tv_curve(form, x0, 32), want)).max() <= 1e-14
 
     def test_never_densifies(self, monkeypatch):
         iv = DegreeInterval((1,) * 6, (3,) * 6)
