@@ -3,28 +3,34 @@
 Three kernels are provided, each a seeded single-step function:
 
 * ``SwitchKernel`` -- lazy switch chain on the realizations of a fixed
-  degree sequence (hold 1 - 1/q, switch attempt 1/q).
+  degree sequence (hold 5/6, switch attempt 1/6).
 * ``SwitchHingeFlipKernel`` -- chain on graphs with degrees in an interval
   and a fixed edge count (hold 2/3, switch 1/6, hinge flip 1/6).
 * ``DegreeIntervalKernel`` -- chain on all graphs with degrees in an
   interval (hold 1/2, then 1/6 each for switch / hinge flip /
   addition-deletion).
 
-Each kernel lists its moves once, in its move table; ``step`` and
-``run_with_rng`` both read the table.  Move attempts draw ordered node
-tuples uniformly, repeats allowed; a degenerate tuple simply fails the edge
-tests, which keeps the transition rows exactly enumerable.
+Each move is defined once, as an in-place function in ``MOVES``:
+``run_with_rng`` runs it, ``step`` is a run of one step, and
+``oracle.build_matrix`` and ``oracle.state_graph_components`` read their
+toggle patterns off it.  Each kernel's move table lists its moves with
+their attempt probabilities.  Move attempts draw ordered node tuples
+uniformly, repeats allowed; a degenerate tuple simply fails the edge tests,
+which keeps the transition rows exactly enumerable.  The pure move
+functions are kept only for ``oracle.transition_row_reference``, the
+independent cross-check.
 
 Stream layout (``RNG_LAYOUT`` 2): every step consumes one row of ``ROW``
 doubles from ``rng.random``, whether it holds or moves.  The row is u, which
 picks hold or a move, then four node draws x, of which a move reads its
-first ``arity``; node label floor(x * n).  ``step`` draws one row,
-``run_with_rng`` draws blocks of ``BLOCK`` rows, and both read them through
-``_decode``, so a run of s steps is draw for draw s calls of ``step`` and
-consumes exactly ``ROW * s`` doubles.  Layout 1 drew u by ``rng.random()``
-and the labels by one ``rng.integers(0, n, size=arity)`` call.  Labels come
-from floats because numpy fills bounded 32-bit integers from a per-call
-buffer, so a block call and per-step calls would drift apart.
+first ``arity``; node label floor(x * n).  ``run_with_rng`` draws blocks of
+``BLOCK`` rows, the last cut to the steps that remain, and reads them
+through ``_decode``, so a run of s steps is draw for draw s calls of
+``step`` and consumes exactly ``ROW * s`` doubles.  Layout 1 drew u by
+``rng.random()`` and the labels by one ``rng.integers(0, n, size=arity)``
+call.  Labels come from floats because numpy fills bounded 32-bit integers
+from a per-call buffer, so a block call and per-step calls would drift
+apart.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ def spawn_rngs(seed, k):
     return [np.random.Generator(np.random.Philox(s)) for s in seqs]
 
 
-# --- pure move functions -----------------------------------------------------
+# --- pure move functions, for oracle.transition_row_reference ----------------
 
 
 def switch_move(g, quad):
@@ -100,24 +106,17 @@ def add_delete_move(g, pair, interval):
     return g.with_edges(add=[(v, w)])
 
 
-_PURE_MOVES = {
-    "switch": lambda g, quad, iv: switch_move(g, quad),
-    "hinge": hinge_flip_move,
-    "add_delete": add_delete_move,
-}
-
-
 # --- kernels -----------------------------------------------------------------
 
 
 class _TableKernel:
     """A kernel driven by its move table.
 
-    ``table`` is (hold, ((move, attempt probability, arity), ...)).  A step
-    reads one row of the stream (module docstring): it holds if u < hold;
-    otherwise it attempts the first move whose cut point, hold plus the
-    attempt probabilities up to and including its own, exceeds u, on the
-    row's first ``arity`` node labels.
+    ``table`` is (hold, ((move, attempt probability), ...)), each move a
+    key of ``MOVES``.  A step reads one row of the stream (module
+    docstring): it holds if u < hold; otherwise it attempts the first move
+    whose cut point, hold plus the attempt probabilities up to and including
+    its own, exceeds u, on the row's first ``arity`` node labels.
     """
 
     @property
@@ -130,27 +129,23 @@ class _TableKernel:
         return g.n == self.n and self.admits(g.degree_sequence(), g.num_edges)
 
     def move_probabilities(self):
-        return {move: p for move, p, _ in self.table[1]}
+        return dict(self.table[1])
 
-    def branches(self, impls):
-        """(hold, cuts, [(impls[move], arity), ...]).
+    def branches(self):
+        """(hold, cuts, [MOVES[move], ...]), each an (in-place move, arity).
 
         ``cuts`` holds every cut point but the last, which is taken as
         infinite, so that ``_decode`` maps each u >= hold to a move."""
         hold, moves = self.table
         cut, cuts = hold, []
-        for _, p, _ in moves[:-1]:
+        for _, p in moves[:-1]:
             cut += p
             cuts.append(cut)
-        return hold, np.array(cuts), [(impls[move], arity) for move, _, arity in moves]
+        return hold, np.array(cuts), [MOVES[move] for move, _ in moves]
 
     def step(self, g, rng):
-        hold, cuts, branches = self.branches(_PURE_MOVES)
-        moves, labels = _decode(rng.random((1, ROW)), hold, cuts, self.n)
-        if not moves:
-            return g
-        move, arity = branches[moves[0]]
-        return move(g, tuple(column[0] for column in labels[:arity]), self.interval)
+        """One step from g; ValueError if g is outside the kernel's space."""
+        return run_with_rng(self, g, 1, rng)
 
 
 def _decode(rows, hold, cuts, n):
@@ -172,12 +167,10 @@ class SwitchKernel(_TableKernel):
     """Lazy switch chain on G(d)."""
 
     d: tuple
-    q: int = 6  # holding parameter; hold probability is 1 - 1/q
+    table = (1.0 - 1.0 / 6.0, (("switch", 1.0 / 6.0),))
 
     def __post_init__(self):
         object.__setattr__(self, "d", tuple(int(x) for x in self.d))
-        if self.q < 2:
-            raise ValueError("q must be >= 2")
 
     @property
     def n(self):
@@ -187,10 +180,6 @@ class SwitchKernel(_TableKernel):
     def interval(self):
         """G(d) is the interval class with lower = upper = d."""
         return DegreeInterval(self.d, self.d)
-
-    @property
-    def table(self):
-        return 1.0 - 1.0 / self.q, (("switch", 1.0 / self.q, 4),)
 
     def admits(self, deg, m):
         return tuple(deg) == self.d
@@ -202,7 +191,7 @@ class SwitchHingeFlipKernel(_TableKernel):
 
     interval: DegreeInterval
     m: int
-    table = (2.0 / 3.0, (("switch", 1.0 / 6.0, 4), ("hinge", 1.0 / 6.0, 3)))
+    table = (2.0 / 3.0, (("switch", 1.0 / 6.0), ("hinge", 1.0 / 6.0)))
 
     def admits(self, deg, m):
         return m == self.m and self.interval.contains(deg)
@@ -213,7 +202,7 @@ class DegreeIntervalKernel(_TableKernel):
     """Chain on all graphs with degrees in an interval (edge count varies)."""
 
     interval: DegreeInterval
-    table = (0.5, (("switch", 1.0 / 6.0, 4), ("hinge", 1.0 / 6.0, 3), ("add_delete", 1.0 / 6.0, 2)))
+    table = (0.5, (("switch", 1.0 / 6.0), ("hinge", 1.0 / 6.0), ("add_delete", 1.0 / 6.0)))
 
     def admits(self, deg, m):
         return self.interval.contains(deg)
@@ -223,16 +212,16 @@ def run_with_rng(kernel, g0, steps, rng):
     """Run ``steps`` steps on a mutable edge set; only builds a Graph at the end.
 
     Draws the stream in blocks of ``BLOCK`` rows, the last cut to the steps
-    that remain, and applies each non-held row's move in place, so it
-    returns what ``steps`` calls of kernel.step return and leaves ``rng`` in
-    the same state.  Raises ValueError if g0 is outside the kernel's state
+    that remain, and applies each non-held row's move in place, so a run of
+    s steps returns what s one-step runs return and leaves ``rng`` in the
+    same state.  Raises ValueError if g0 is outside the kernel's state
     space."""
     n, iv = kernel.n, kernel.interval
     deg = list(g0.degree_sequence())
     if g0.n != n or not kernel.admits(deg, len(g0.edges)):
         raise ValueError("initial state is outside the kernel's state space")
     edges = set(g0.edges)
-    hold, cuts, branches = kernel.branches(_MUTABLE_MOVES)
+    hold, cuts, branches = kernel.branches()
     for start in range(0, steps, BLOCK):
         moves, labels = _decode(rng.random((min(BLOCK, steps - start), ROW)), hold, cuts, n)
         for row in zip(moves, *labels):
@@ -289,4 +278,8 @@ def _try_toggle(edges, deg, iv, v, w):
         deg[w] += 1
 
 
-_MUTABLE_MOVES = {"switch": _try_switch, "hinge": _try_hinge, "add_delete": _try_toggle}
+# Every move: (in-place function of (edges, deg, interval, *labels), arity).
+# Whether a move fires depends only on the pairs it toggles and on the degree
+# bounds, which oracle._toggles relies on.  build_matrix takes the moves in
+# this order, by arity.
+MOVES = {"add_delete": (_try_toggle, 2), "hinge": (_try_hinge, 3), "switch": (_try_switch, 4)}

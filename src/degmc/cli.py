@@ -191,30 +191,34 @@ def cmd_ingest(args):
     return EXIT_OK
 
 
-def _make_kernel(iv, chain, m):
-    if chain == "switch":
+def _chain(iv, name, m):
+    """(kernel, enumerate_graphs keywords of its space, start state) of the
+    named chain on the interval.  The start state comes as a function, so
+    that analyze, which needs none, does not build one."""
+    if name == "switch":
         if iv.lower != iv.upper:
             raise Infeasible("the switch chain needs a fixed degree sequence (l = u)")
-        return SwitchKernel(d=iv.lower)
-    if chain == "switch-hinge":
+        return SwitchKernel(d=iv.lower), {"d": iv.lower}, lambda: realize(iv.lower)
+    if name == "switch-hinge":
         if m is None:
             raise ParseError("--m is required for the switch-hinge chain")
-        return SwitchHingeFlipKernel(interval=iv, m=m)
-    return DegreeIntervalKernel(interval=iv)
+        kernel = SwitchHingeFlipKernel(interval=iv, m=m)
+        return kernel, {"interval": iv, "m": m}, lambda: realize_in_interval(iv, m)
+    return DegreeIntervalKernel(interval=iv), {"interval": iv}, lambda: _middle_graph(iv)
+
+
+def _middle_graph(iv):
+    """A graph in the interval with the middle feasible edge count."""
+    ms = projection.feasible_edge_counts(iv)
+    if not ms:
+        raise Infeasible("no graph satisfies the interval")
+    return realize_in_interval(iv, ms[len(ms) // 2])
 
 
 def cmd_sample(args):
     iv = read_intervals(args.intervals)
-    kernel = _make_kernel(iv, args.chain, args.m)
-    if args.chain == "switch":
-        g = realize(iv.lower)
-    elif args.chain == "switch-hinge":
-        g = realize_in_interval(iv, args.m)
-    else:
-        m0 = projection.feasible_edge_counts(iv)
-        if not m0:
-            raise Infeasible("no graph satisfies the interval")
-        g = realize_in_interval(iv, m0[len(m0) // 2])
+    kernel, _, start = _chain(iv, args.chain, args.m)
+    g = start()
     rng = make_rng(args.seed)
     base = args.output or "sample"
     files = []
@@ -269,13 +273,8 @@ def cmd_ladder(args):
 
 def cmd_analyze(args):
     iv = read_intervals(args.intervals)
-    kernel = _make_kernel(iv, args.chain, args.m)
-    if args.chain == "switch":
-        space = oracle.enumerate_graphs(iv.n, d=iv.lower)
-    elif args.chain == "switch-hinge":
-        space = oracle.enumerate_graphs(iv.n, interval=iv, m=args.m)
-    else:
-        space = oracle.enumerate_graphs(iv.n, interval=iv)
+    kernel, space_args, _ = _chain(iv, args.chain, args.m)
+    space = oracle.enumerate_graphs(iv.n, **space_args)
     size = len(space)
     if size == 0:
         raise Infeasible(f"{space.description} is empty")

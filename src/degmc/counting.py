@@ -21,7 +21,6 @@ from .chains import SwitchKernel, make_rng, run_with_rng
 from . import oracle
 
 EXACT_SAMPLE_CAP = 7  # exact uniform draws from G(d) by enumeration up to this n
-RATIO_CONSTANT = 1.0  # multiplier on the per-rung sample size
 
 
 class OddResidue(ValueError):
@@ -37,6 +36,8 @@ class ZeroHits(RuntimeError):
 
 @lru_cache(maxsize=None)
 def _exact_interval_count_cached(lower, upper, m):
+    if len(lower) > oracle.COUNT_CAP:
+        raise oracle.TooLarge(f"exact interval counts supported for n <= {oracle.COUNT_CAP}")
     iv = DegreeInterval(lower, upper)
     from .projection import enumerate_degree_vectors
 
@@ -110,11 +111,7 @@ def build_ladder(iv, m):
 def ratio_sample_size(num_ratios, eps, delta, q_hat):
     """Per-rung sample count for an (eps, delta) product of ratio estimates."""
     p = max(1, num_ratios)
-    return int(
-        math.ceil(
-            RATIO_CONSTANT * p * p * q_hat * math.log(2.0 * p / delta) / (eps * eps)
-        )
-    )
+    return int(math.ceil(p * p * q_hat * math.log(2.0 * p / delta) / (eps * eps)))
 
 
 def estimate_ratio(member_mask, n_samples, rng, max_retries=3):
@@ -170,7 +167,7 @@ class CountEstimate:
 def _log_final_count(d):
     """log |G(d)| for the pinned final rung: exact at desk scale, the
     asymptotic estimate beyond the recursion cap."""
-    if len(d) <= 12:
+    if len(d) <= oracle.COUNT_CAP:
         c = oracle.count_realizations(d)
         return (math.log(c) if c > 0 else -math.inf), "exact"
     from .weights import lw_log_weight
@@ -293,7 +290,7 @@ def _sample_degree_sequence(iv, rng):
         upper = upper[:i] + (v,) + upper[i + 1 :]
 
 
-def sample_realization(d, rng, chain_steps=None):
+def sample_realization(d, rng):
     """Uniform (small n) or near-uniform (switch chain) draw from G(d)."""
     d = tuple(int(x) for x in d)
     n = len(d)
@@ -303,11 +300,10 @@ def sample_realization(d, rng, chain_steps=None):
             raise Infeasible(f"{d} is not graphical")
         return space.graph(int(rng.integers(0, len(space))))
     g0 = realize(d)
-    steps = chain_steps if chain_steps is not None else 20 * n * n * sum(d)
-    return run_with_rng(SwitchKernel(d=d), g0, steps, rng)
+    return run_with_rng(SwitchKernel(d=d), g0, 20 * n * n * sum(d), rng)
 
 
-def sample_interval(iv, rng=None, seed=None, chain_steps=None):
+def sample_interval(iv, rng=None, seed=None):
     """A draw from G(l,u): exactly uniform whenever n is at most the exact
     sampling cap, near-uniform beyond it.
 
@@ -317,4 +313,4 @@ def sample_interval(iv, rng=None, seed=None, chain_steps=None):
     if rng is None:
         rng = make_rng(0 if seed is None else seed)
     d = _sample_degree_sequence(iv, rng)
-    return sample_realization(d, rng, chain_steps=chain_steps)
+    return sample_realization(d, rng)

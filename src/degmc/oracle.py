@@ -1,10 +1,12 @@
 """Exact desk-scale ground truth for the chains and counting machinery.
 
 Everything here is exhaustive or exact: state spaces are enumerated as edge
-bitmasks, transition matrices are built from the moves' toggle bit
-patterns, vectorized over the states, and counts come from an independent
-memoized recursion.  All of it is meant for small n (enumeration is capped
-at n = 8) and is used to verify the provable properties of the samplers.
+bitmasks, transition matrices and state-graph components are built from
+toggle bit patterns that ``_toggles`` reads off the chains' own in-place
+moves (``chains.MOVES``), vectorized over the states, and counts come from
+an independent memoized recursion.  All of it is meant for small n
+(enumeration is capped at n = 8, the count recursion at ``COUNT_CAP``) and
+is used to verify the provable properties of the samplers.
 
 Transition matrices are CSR at every size.  ``spectral_gap`` and
 ``tv_curve`` take them, or a dense array, in one form chosen by size alone
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,10 +30,12 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .graphs import Graph
+from .chains import MOVES, add_delete_move, hinge_flip_move, switch_move
+from .graphs import DegreeInterval, Graph, _norm_edge
 
 DENSE_LIMIT = 4096  # largest matrix _as_dense densifies
 ENUMERATION_CAP = 8
+COUNT_CAP = 12  # largest n the count recursion takes
 # states from which spectral_gap and tv_curve work on CSR; below it a dense
 # eigvalsh is faster (2 cores, numpy 2.4 / scipy 1.17)
 SPARSE_FROM = 256
@@ -230,8 +235,8 @@ def count_realizations(d):
     over the residual sorted sequences.
     """
     d = tuple(int(x) for x in d)
-    if len(d) > 12:
-        raise TooLarge("counting recursion supported for n <= 12")
+    if len(d) > COUNT_CAP:
+        raise TooLarge(f"counting recursion supported for n <= {COUNT_CAP}")
     if any(x < 0 for x in d) or (d and max(d) > len(d) - 1):
         return 0
     if sum(d) % 2 != 0:
@@ -293,8 +298,6 @@ def transition_row_reference(kernel, g):
 
     Slow; exists as an independent cross-check of build_matrix.
     """
-    from . import chains
-
     n = kernel.n
     probs = kernel.move_probabilities()
     row = {}
@@ -307,26 +310,27 @@ def transition_row_reference(kernel, g):
     if "switch" in probs:
         p = probs["switch"] / n**4
         for quad in itertools.product(range(n), repeat=4):
-            add(chains.switch_move(g, quad), p)
+            add(switch_move(g, quad), p)
     if "hinge" in probs:
         p = probs["hinge"] / n**3
         for triple in itertools.product(range(n), repeat=3):
-            add(chains.hinge_flip_move(g, triple, kernel.interval), p)
+            add(hinge_flip_move(g, triple, kernel.interval), p)
     if "add_delete" in probs:
         p = probs["add_delete"] / n**2
         for pair in itertools.product(range(n), repeat=2):
-            add(chains.add_delete_move(g, pair, kernel.interval), p)
+            add(add_delete_move(g, pair, kernel.interval), p)
     return row
 
 
 def build_matrix(kernel, space):
     """Exact single-step transition matrix of the kernel over the space.
 
-    One vectorized pass over the state masks per toggle pattern: a state
-    whose bits under the pattern equal one submask moves to the state with
-    the other whenever the target's degrees stay in kernel.interval, with
-    probability (attempt probability) * (ordered tuples firing it) / n^arity.
-    CSR at every size; callers that index it densely go through _as_dense.
+    One vectorized pass over the state masks per toggle mask of each move
+    (``_toggles``): a state whose bits under the mask equal a moves to the
+    state with b there whenever the target's degrees stay in
+    kernel.interval, with probability (attempt probability) * (ordered
+    tuples firing it) / n^arity.  Moves go in ``chains.MOVES`` order.  CSR
+    at every size; callers that index it densely go through _as_dense.
     Raises Mismatch if a state violates the kernel's constraints or a legal
     move leaves the space.
     """
@@ -340,29 +344,32 @@ def build_matrix(kernel, space):
         ok &= _popcount(masks) == kernel.m
     if not ok.all():
         raise Mismatch(f"state {int(np.argmin(ok))} violates the kernel constraints")
-    moves = {move: (p, arity) for move, p, arity in kernel.table[1]}
+    probs = kernel.move_probabilities()
     nm = node_bit_masks(n)
     diag = np.ones(size)
     rows, cols, vals = [np.arange(size)], [np.arange(size)], [diag]
-    for move, t, subs, tuples in _toggle_patterns(n, moves):
-        p, arity = moves[move]
-        t64, w = np.int64(t), p * tuples / n**arity
-        under = masks & t64
-        for a, b in (subs, subs[::-1]):
-            src = np.flatnonzero(under == a)
-            for v in range(n):
-                dv = (b & nm[v]).bit_count() - (a & nm[v]).bit_count()
-                if dv:
-                    src = src[(lo[v] <= deg[src, v] + dv) & (deg[src, v] + dv <= hi[v])]
-            target = masks[src] ^ t64
-            dst = np.minimum(np.searchsorted(masks, target), size - 1)
-            missing = masks[dst] != target
-            if missing.any():
-                raise Mismatch(f"a legal {move} move from state {src[missing][0]} leaves the space")
-            diag[src] -= w
-            rows.append(src)
-            cols.append(dst)
-            vals.append(np.full(len(src), w))
+    for move, (_, arity) in MOVES.items():
+        if move not in probs:
+            continue
+        for t, changes in _toggles(n, move):
+            t64 = np.int64(t)
+            under = masks & t64
+            for a, b, tuples in changes:
+                w = probs[move] * tuples / n**arity
+                src = np.flatnonzero(under == a)
+                for v in range(n):
+                    dv = (b & nm[v]).bit_count() - (a & nm[v]).bit_count()
+                    if dv:
+                        src = src[(lo[v] <= deg[src, v] + dv) & (deg[src, v] + dv <= hi[v])]
+                target = masks[src] ^ t64
+                dst = np.minimum(np.searchsorted(masks, target), size - 1)
+                missing = masks[dst] != target
+                if missing.any():
+                    raise Mismatch(f"a legal {move} move from state {src[missing][0]} leaves the space")
+                diag[src] -= w
+                rows.append(src)
+                cols.append(dst)
+                vals.append(np.full(len(src), w))
     return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
     )
@@ -398,7 +405,7 @@ def check_stochastic(P, tol=1e-12):
     return P
 
 
-def stationary_distribution(P, tol=1e-12):
+def stationary_distribution(P):
     """Left fixed point of P (dense), by eigen-decomposition."""
     P = _as_dense(P)
     w, v = np.linalg.eig(P.T)
@@ -491,36 +498,33 @@ def congestion_check(P, pi=None):
 # --- state-graph connectivity ------------------------------------------------
 
 
-def _toggle_patterns(n, moves):
-    """(move, toggle_mask, (valid_submask_a, valid_submask_b), tuples) per local move.
+@lru_cache(maxsize=None)
+def _toggles(n, move):
+    """((toggle mask, ((a, b, tuples), ...)), ...) of one move on n nodes.
 
-    A state whose bits under toggle_mask equal one submask moves to the
-    state with the other; tuples counts the ordered node tuples that fire
-    the move from either side: 2 for an addition/deletion ((v,w) and
-    (w,v)), 1 for a hinge flip (v, w, x) and 4 for a switch (either edge
-    as {w,v}, either end as v).
+    A state whose bits under the mask equal a moves to the state with b
+    there, degree bounds aside; tuples ordered node tuples fire the change.
+    Read off ``MOVES[move]``: the move runs on the tuple (0, ..., arity - 1)
+    from every edge set on those nodes, under bounds that never bind, and
+    each change is mapped through every injective tuple on n nodes.  A tuple
+    that repeats a label never fires (``transition_row_reference`` checks).
     """
-    bit = pair_bit(n)
-    pats = []
-    if "add_delete" in moves:
-        for p, b in bit.items():
-            pats.append(("add_delete", b, (0, b), 2))
-    if "hinge" in moves:
-        for w in range(n):
-            others = [v for v in range(n) if v != w]
-            for v, x in itertools.combinations(others, 2):
-                b1 = bit[tuple(sorted((w, v)))]
-                b2 = bit[tuple(sorted((w, x)))]
-                pats.append(("hinge", b1 | b2, (b1, b2), 1))
-    if "switch" in moves:
-        for quad in itertools.combinations(range(n), 4):
-            a, b, c, d = quad
-            m1 = bit[(a, b)] | bit[(c, d)]
-            m2 = bit[(a, c)] | bit[(b, d)]
-            m3 = bit[(a, d)] | bit[(b, c)]
-            for x, y in ((m1, m2), (m1, m3), (m2, m3)):
-                pats.append(("switch", x | y, (x, y), 4))
-    return pats
+    fn, arity = MOVES[move]
+    local = list(itertools.combinations(range(arity), 2))
+    free = DegreeInterval((0,) * arity, (arity - 1,) * arity)
+    changes = {}
+    for bits in range(1 << len(local)):
+        before = {p for k, p in enumerate(local) if bits >> k & 1}
+        after = set(before)
+        fn(after, [sum(v in p for p in before) for v in range(arity)], free, *range(arity))
+        if after != before:
+            changes[frozenset(before - after), frozenset(after - before)] = None
+    bit, groups = pair_bit(n), {}
+    for tup in itertools.permutations(range(n), arity):
+        for change in changes:
+            a, b = (sum(bit[_norm_edge(tup[i], tup[j])] for i, j in side) for side in change)
+            groups.setdefault(a | b, Counter())[a, b] += 1
+    return tuple((t, tuple((a, b, c) for (a, b), c in group.items())) for t, group in groups.items())
 
 
 def state_graph_components(space, moves=("switch", "hinge", "add_delete")):
@@ -528,25 +532,27 @@ def state_graph_components(space, moves=("switch", "hinge", "add_delete")):
 
     A move is legal iff its structural edge conditions hold and the result
     is again in the space, so membership of both endpoints is the full
-    legality test.  Vectorized over toggle patterns.
+    legality test.  Vectorized over the toggle masks of each move
+    (``_toggles``), one pass per mask for all its changes.
     """
     masks = space.masks
     size = len(masks)
     if size == 0:
         return 0, np.array([], dtype=int)
     rows, cols = [], []
-    for _, t, (va, vb), _ in _toggle_patterns(space.n, moves):
-        t64 = np.int64(t)
-        anded = masks & t64
-        sel = (anded == va) | (anded == vb)
-        if not sel.any():
-            continue
-        src = np.nonzero(sel)[0]
-        partner = masks[src] ^ t64
-        pos = np.searchsorted(masks, partner)
-        ok = (pos < size) & (masks[np.minimum(pos, size - 1)] == partner)
-        rows.append(src[ok])
-        cols.append(pos[ok])
+    for move in moves:
+        for t, changes in _toggles(space.n, move):
+            t64 = np.int64(t)
+            anded = masks & t64
+            sel = anded == changes[0][0]
+            for a, _, _ in changes[1:]:
+                sel |= anded == a
+            src = np.flatnonzero(sel)
+            partner = masks[src] ^ t64
+            pos = np.searchsorted(masks, partner)
+            ok = (pos < size) & (masks[np.minimum(pos, size - 1)] == partner)
+            rows.append(src[ok])
+            cols.append(pos[ok])
     if rows:
         rows = np.concatenate(rows)
         cols = np.concatenate(cols)
@@ -732,12 +738,12 @@ def _goal_satisfied(g, goal):
 # --- canonical symmetric-difference decomposition ----------------------------
 
 
-def canonical_decomposition(g, g2, edge_order=None):
+def canonical_decomposition(g, g2):
     """Split E(g) xor E(g2) into alternating cycles and paths.
 
-    Around each node (in increasing label order), the lowest-ordered
-    unpaired edge of g is repeatedly paired with the lowest-ordered
-    unpaired edge of g2.  The pairings link the symmetric-difference edges
+    Around each node (in increasing label order), the lowest unpaired edge
+    of g is repeatedly paired with the lowest unpaired edge of g2, edges in
+    lexicographic order.  The pairings link the symmetric-difference edges
     into alternating components; odd paths are classified by which graph
     contributes the extra edge.
 
@@ -746,10 +752,8 @@ def canonical_decomposition(g, g2, edge_order=None):
     """
     if g.n != g2.n:
         raise ValueError("graphs must share the node set")
-    if edge_order is None:
-        edge_order = lambda e: e  # lexicographic on (min, max)
-    red = sorted(g.edges - g2.edges, key=edge_order)  # in g only
-    blue = sorted(g2.edges - g.edges, key=edge_order)  # in g2 only
+    red = sorted(g.edges - g2.edges)  # in g only
+    blue = sorted(g2.edges - g.edges)  # in g2 only
     sym = red + blue
     is_red = {e: True for e in red}
     is_red.update({e: False for e in blue})
@@ -766,8 +770,8 @@ def canonical_decomposition(g, g2, edge_order=None):
             blues = [e for e in incident[v] if not is_red[e] and free[e][v]]
             if not reds or not blues:
                 break
-            er = min(reds, key=edge_order)
-            eb = min(blues, key=edge_order)
+            er = min(reds)
+            eb = min(blues)
             free[er][v] = False
             free[eb][v] = False
             links[er].append(eb)

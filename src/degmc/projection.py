@@ -9,9 +9,10 @@ The graph chains project onto two coarser state spaces:
 * edge counts themselves, walked by a lazy birth-death chain whose
   mixing is controlled by log-concavity of the per-count weights.
 
-Each degree-sequence move is defined once: the steps evaluate it on demand,
-at any n, and the explicit transition matrices sum it over all choices at
-desk scale, so their stationarity and spectral gaps can be checked exactly.
+Each move is defined once -- the unit exchange, the heat-bath row and the
+birth-death acceptance: the steps evaluate it on demand, at any n, and the
+explicit transition matrices sum it over all choices at desk scale, so
+their stationarity and spectral gaps can be checked exactly.
 """
 
 from __future__ import annotations
@@ -220,24 +221,25 @@ def load_exchange_matrix(space):
 # --- edge-count birth-death chain --------------------------------------------
 
 
+def _birth_death(i, j, weights):
+    """Acceptance min(1, w_j / w_i) of index i -> j; None off the ends or at w_j <= 0."""
+    if j < 0 or j >= len(weights) or weights[j] <= 0:
+        return None
+    return min(1.0, weights[j] / weights[i])
+
+
 def edge_count_step(m_index, weights, rng):
     """One lazy birth-death step over edge-count indices.
 
     Proposes an adjacent index with probability 1/4 each and accepts with
     the weight ratio, so P(i, j) = (1/4) min(1, w_j / w_i) for |i-j| = 1.
     """
-    size = len(weights)
     u = rng.random()
     if u < 0.5:
         return m_index
     j = m_index + (1 if u < 0.75 else -1)
-    if j < 0 or j >= size:
-        return m_index
-    if weights[j] <= 0:
-        return m_index
-    if rng.random() < min(1.0, weights[j] / weights[m_index]):
-        return j
-    return m_index
+    accept = _birth_death(m_index, j, weights)
+    return j if accept is not None and rng.random() < accept else m_index
 
 
 def edge_count_matrix(weights):
@@ -249,8 +251,9 @@ def edge_count_matrix(weights):
     P = np.zeros((size, size))
     for i in range(size):
         for j in (i - 1, i + 1):
-            if 0 <= j < size:
-                P[i, j] = 0.25 * min(1.0, w[j] / w[i])
+            accept = _birth_death(i, j, w)
+            if accept is not None:
+                P[i, j] = 0.25 * accept
         P[i, i] = 1.0 - P[i].sum()
     return P
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from degmc import oracle
 from degmc.chains import (
     BLOCK,
+    MOVES,
     DegreeIntervalKernel,
     SwitchHingeFlipKernel,
     SwitchKernel,
@@ -31,6 +32,11 @@ def random_graph(rng, n, p=0.5):
 
 
 WIDE = DegreeInterval((0,) * 6, (5,) * 6)
+PURE = {
+    "switch": lambda g, quad, iv: switch_move(g, quad),
+    "hinge": hinge_flip_move,
+    "add_delete": add_delete_move,
+}
 
 
 class TestMoves:
@@ -88,6 +94,25 @@ class TestMoves:
         pair = tuple(int(x) for x in rng.integers(0, 6, size=2))
         assert abs(add_delete_move(g, pair, WIDE).num_edges - g.num_edges) <= 1
 
+    def test_in_place_moves_match_pure(self):
+        """Each move of MOVES, run in place on a copy, gives the pure move's
+        graph and its degree sequence, for every ordered tuple: on every graph
+        on 4 nodes and 50 seeded graphs on 6, under a free and a tight
+        interval."""
+        rng = make_rng(12)
+        cases = [oracle.graph_of(int(mask), 4) for mask in oracle.census(4)[0]]
+        cases += [random_graph(rng, 6) for _ in range(50)]
+        for g in cases:
+            n = g.n
+            for iv in (DegreeInterval((0,) * n, (n - 1,) * n), DegreeInterval((1,) * n, (2,) * n)):
+                for move, (in_place, arity) in MOVES.items():
+                    for labels in itertools.product(range(n), repeat=arity):
+                        edges, deg = set(g.edges), list(g.degree_sequence())
+                        in_place(edges, deg, iv, *labels)
+                        want = PURE[move](g, labels, iv)
+                        assert edges == want.edges, (move, labels)
+                        assert tuple(deg) == want.degree_sequence(), (move, labels)
+
 
 class TestKernels:
     def test_membership(self):
@@ -102,6 +127,8 @@ class TestKernels:
     def test_run_rejects_bad_start(self):
         with pytest.raises(ValueError):
             run_with_rng(SwitchKernel(d=(2, 2, 2)), Graph.empty(3), 1, make_rng(0))
+        with pytest.raises(ValueError):
+            SwitchKernel(d=(2, 2, 2)).step(Graph.empty(3), make_rng(0))
 
     def test_run_deterministic(self):
         iv = DegreeInterval((1,) * 5, (2,) * 5)
@@ -119,7 +146,7 @@ class TestKernels:
         assert r1.integers(0, 1 << 30) != r2.integers(0, 1 << 30)
 
     def test_fast_loop_matches_functional(self):
-        """run_with_rng and repeated kernel.step agree draw for draw."""
+        """A run and as many one-step runs (kernel.step) agree draw for draw."""
         iv = DegreeInterval((1,) * 5, (3,) * 5)
         for kernel in (
             SwitchKernel(d=(2,) * 5),
@@ -142,7 +169,8 @@ class TestKernels:
 
     def test_block_boundaries(self):
         """At every run length around the block size, run_with_rng returns
-        what repeated kernel.step returns and leaves the rng where it does."""
+        what repeated one-step runs (kernel.step) return and leaves the rng
+        where they do."""
         iv = DegreeInterval((1,) * 6, (3,) * 6)
         kernels = (
             (SwitchKernel(d=(2,) * 5), oracle.enumerate_graphs(5, d=(2,) * 5)),
@@ -168,7 +196,7 @@ class TestTransitionRows:
         # From G = {01, 23} on 4 nodes: 8 of the 256 ordered tuples fire,
         # 4 to each of the two other perfect matchings.
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        k = SwitchKernel(d=(1, 1, 1, 1), q=6)
+        k = SwitchKernel(d=(1, 1, 1, 1))
         row = oracle.transition_row_reference(k, g)
         other = {t: p for t, p in row.items() if t != g}
         assert len(other) == 2
@@ -186,7 +214,7 @@ class TestTransitionRows:
         terms) * machine epsilon.
         """
         P = oracle._as_dense(oracle.build_matrix(k, space))
-        terms = 1 + sum(k.n**arity for _, _, arity in k.table[1])
+        terms = 1 + sum(k.n ** MOVES[move][1] for move in k.move_probabilities())
         for i in range(len(space)):
             ref = np.zeros(len(space))
             for t, p in oracle.transition_row_reference(k, space.graph(i)).items():

@@ -40,6 +40,19 @@ class TestExactCounts:
                 spm = oracle.enumerate_graphs(5, interval=iv, m=m)
                 assert exact_interval_count(iv, m) == len(spm)
 
+    def test_fails_fast_above_cap(self, monkeypatch):
+        """Above the count recursion's cap, exact counts and the sampler's
+        descent raise TooLarge before listing any degree vector."""
+        def refuse(*args):
+            raise AssertionError("degree vectors were enumerated")
+
+        monkeypatch.setattr("degmc.projection.enumerate_degree_vectors", refuse)
+        iv = DegreeInterval((4,) * 30, (5,) * 30)
+        for call in (lambda: exact_interval_count(iv), lambda: exact_interval_count(iv, 67),
+                     lambda: sample_interval(iv, seed=0)):
+            with pytest.raises(oracle.TooLarge):
+                call()
+
 
 class TestLadder:
     def test_structure_even_residue(self):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degmc import oracle, projection
-from degmc.chains import DegreeIntervalKernel, SwitchHingeFlipKernel, SwitchKernel, make_rng
+from degmc.chains import MOVES, DegreeIntervalKernel, SwitchHingeFlipKernel, SwitchKernel, make_rng
 from degmc.graphs import DegreeInterval, Graph, is_graphical
 from degmc.oracle import (
     AlternatingPath,
@@ -316,6 +316,35 @@ class TestCongestion:
         P = np.full((3, 3), 1 / 3)
         with pytest.raises(ValueError):
             congestion_check(P)
+
+
+class TestToggles:
+    """The toggle patterns read off the in-place moves, against closed forms."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_closed_forms(self, n):
+        # (move, directed entries, ordered tuples firing each, bits in a, b)
+        expected = (
+            ("switch", 6 * math.comb(n, 4), 4, (2, 2)),
+            ("hinge", n * (n - 1) * (n - 2), 1, (1, 1)),
+            ("add_delete", n * (n - 1), 2, None),
+        )
+        for move, entries, tuples, bits in expected:
+            arity = MOVES[move][1]
+            rows = [(t, a, b, c) for t, group in oracle._toggles(n, move) for a, b, c in group]
+            assert len(rows) == entries
+            assert len({t for t, *_ in rows}) == entries // 2
+            assert {c for *_, c in rows} <= {tuples}
+            # every injective tuple fires exactly one change (add/delete: one
+            # from each side of its pair)
+            per_tuple = 2 if move == "add_delete" else 1
+            assert sum(c for *_, c in rows) == per_tuple * math.perm(n, arity)
+            for t, a, b, _ in rows:
+                assert a | b == t and a & b == 0
+                if bits:
+                    assert (a.bit_count(), b.bit_count()) == bits
+                else:
+                    assert sorted((a.bit_count(), b.bit_count())) == [0, 1]
 
 
 class TestComponents:
