@@ -15,13 +15,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 
-import numpy as np
-
-from . import counting, oracle, projection
+from . import counting, oracle, projection, verify
 from .chains import (
     RNG_LAYOUT,
     DegreeIntervalKernel,
@@ -31,7 +28,6 @@ from .chains import (
     run_with_rng,
 )
 from .graphs import (
-    DegreeInterval,
     Infeasible,
     NotGraphical,
     ParseError,
@@ -110,21 +106,7 @@ def _build_parser():
     common(sp)
 
     sp = sub.add_parser("verify", help="run an exact verification suite")
-    sp.add_argument(
-        "suite",
-        choices=[
-            "stationarity",
-            "irreducible",
-            "logconcave",
-            "congestion",
-            "martinrandall",
-            "projection",
-            "mconvex",
-            "stability",
-            "sbound",
-            "formula",
-        ],
-    )
+    sp.add_argument("suite", choices=list(verify.SUITES))
     sp.add_argument("--n", type=int, default=5, help="largest node count to check")
     common(sp)
     return p
@@ -293,326 +275,10 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
-# --- verification suites -----------------------------------------------------
-
-
-def _near_regular_unit_intervals(n):
-    """Unit-width (and constant) near-regular interval instances at size n."""
-    out = []
-    for r in range(1, n - 1):
-        out.append(DegreeInterval((r,) * n, (r,) * n))
-        if r + 1 <= n - 1:
-            out.append(DegreeInterval((r,) * n, (r + 1,) * n))
-    return out
-
-
-def _suite_stationarity(n_max):
-    checks = []
-    for n in range(4, n_max + 1):
-        for iv in _near_regular_unit_intervals(n):
-            space = oracle.enumerate_graphs(n, interval=iv)
-            if len(space) == 0:
-                continue
-            P = oracle.build_matrix(DegreeIntervalKernel(iv), space)
-            sym = bool(abs(P - P.T).max() <= 1e-12)
-            pi = np.full(len(space), 1.0 / len(space))
-            stat = float(np.abs(P.T @ pi - pi).max())
-            checks.append(
-                {
-                    "instance": f"n={n} interval {iv.lower}-{iv.upper}",
-                    "quantity": "uniform stationarity error",
-                    "bound": 1e-10,
-                    "measured": stat,
-                    "pass": sym and stat <= 1e-10,
-                }
-            )
-    return checks
-
-
-def _suite_irreducible(n_max):
-    checks = []
-    for n in range(4, n_max + 1):
-        for iv in _near_regular_unit_intervals(n):
-            space = oracle.enumerate_graphs(n, interval=iv)
-            if len(space) == 0:
-                continue
-            ncomp, _ = oracle.state_graph_components(space)
-            checks.append(
-                {
-                    "instance": f"n={n} interval {iv.lower}-{iv.upper}",
-                    "quantity": "state-graph components",
-                    "bound": 1,
-                    "measured": int(ncomp),
-                    "pass": ncomp == 1,
-                }
-            )
-    return checks
-
-
-def _suite_logconcave(n_max):
-    checks = []
-    for n in range(4, n_max + 1):
-        for iv in _near_regular_unit_intervals(n):
-            w = []
-            for m in projection.feasible_edge_counts(iv):
-                w.append(counting.exact_interval_count(iv, m))
-            ok, where = oracle.verify_log_concave(w)
-            checks.append(
-                {
-                    "instance": f"n={n} interval {iv.lower}-{iv.upper}",
-                    "quantity": "log-concavity of edge-count profile",
-                    "bound": None,
-                    "measured": where,
-                    "pass": ok,
-                }
-            )
-    return checks
-
-
-def _suite_congestion(n_max):
-    checks = []
-    for n in range(4, n_max + 1):
-        for iv in _near_regular_unit_intervals(n):
-            w = [counting.exact_interval_count(iv, m) for m in projection.feasible_edge_counts(iv)]
-            if not w or any(x <= 0 for x in w):
-                continue
-            P = projection.edge_count_matrix(w)
-            pi = np.asarray(w, dtype=float) / sum(w)
-            gap = oracle.spectral_gap(P, pi)
-            bound = projection.logconcave_gap_bound(w)
-            checks.append(
-                {
-                    "instance": f"n={n} interval {iv.lower}-{iv.upper}",
-                    "quantity": "birth-death spectral gap",
-                    "bound": bound,
-                    "measured": gap,
-                    "pass": gap >= bound - 1e-12,
-                }
-            )
-    return checks
-
-
-def _suite_martinrandall(n_max):
-    checks = []
-    for n in range(4, min(n_max, 5) + 1):
-        for iv in _near_regular_unit_intervals(n):
-            if iv.lower == iv.upper:
-                continue
-            space = oracle.enumerate_graphs(n, interval=iv)
-            if len(space) == 0:
-                continue
-            P = oracle._as_dense(oracle.build_matrix(DegreeIntervalKernel(iv), space))
-            masses = oracle._popcount(space.masks).astype(int)
-            partition = [list(np.nonzero(masses == m)[0]) for m in sorted(set(masses.tolist()))]
-            rep = oracle.verify_martin_randall(P, partition)
-            checks.append(
-                {
-                    "instance": f"n={n} interval {iv.lower}-{iv.upper} (by edge count)",
-                    "quantity": "decomposition gap inequality",
-                    "bound": rep["rhs"],
-                    "measured": rep["gap"],
-                    "pass": rep["holds"],
-                }
-            )
-    return checks
-
-
-def _suite_projection(n_max):
-    from .weights import WeightModel
-
-    checks = []
-    for n in range(4, n_max + 1):
-        for iv in _near_regular_unit_intervals(n):
-            if iv.lower == iv.upper:
-                continue
-            for m in projection.feasible_edge_counts(iv):
-                sp = projection.DegreeSpace(iv, m, WeightModel("exact"))
-                if len(sp) == 0:
-                    continue
-                pi = sp.stationary()
-                H = projection.hinge_projection_matrix(sp)
-                err = float(np.abs(pi @ H - pi).max())
-                checks.append(
-                    {
-                        "instance": f"n={n} interval {iv.lower}-{iv.upper} m={m}",
-                        "quantity": "projection stationarity error",
-                        "bound": 1e-10,
-                        "measured": err,
-                        "pass": err <= 1e-10,
-                    }
-                )
-    return checks
-
-
-def _suite_mconvex(n_max):
-    checks = []
-    for n in range(4, n_max + 1):
-        for iv in _near_regular_unit_intervals(n):
-            lo_m = (sum(iv.lower) + 1) // 2
-            hi_m = sum(iv.upper) // 2
-            for m in range(lo_m, hi_m + 1):
-                pts = projection.enumerate_degree_vectors(iv, m)
-                if not pts:
-                    continue
-                ok, witness = projection.check_m_convex(pts)
-                checks.append(
-                    {
-                        "instance": f"n={n} interval {iv.lower}-{iv.upper} m={m}",
-                        "quantity": "exchange property",
-                        "bound": None,
-                        "measured": None if ok else str(witness),
-                        "pass": ok,
-                    }
-                )
-    return checks
-
-
-def _suite_stability(n_max):
-    checks = []
-    for n in range(4, n_max + 1):
-        seen = set()
-        for d, cnt in oracle.degree_class_counts(n).items():
-            key = tuple(sorted(d))
-            if cnt == 0 or key in seen:
-                continue
-            seen.add(key)
-            if not oracle.strongly_stable_condition(key, n):
-                continue
-            ok = _check_stability_class(key, n)
-            checks.append(
-                {
-                    "instance": f"n={n} d={key}",
-                    "quantity": "alternating repair path length",
-                    "bound": 10,
-                    "measured": None,
-                    "pass": ok,
-                }
-            )
-    return checks
-
-
-def _check_stability_class(d, n):
-    """Every unit-perturbed realization repairs within 10 alternating steps.
-
-    Perturbations move one degree unit from node v to node u; a repairing
-    alternating (u, v)-path flips that unit back."""
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            d2 = list(d)
-            d2[u] += 1
-            d2[v] -= 1
-            space = oracle.enumerate_graphs(n, d=tuple(d2))
-            for i in range(len(space)):
-                g = space.graph(i)
-                if oracle.find_alternating_path(g, u, v, 10) is None:
-                    return False
-    return True
-
-
-# (alpha, rho) combos for the dispersion-bound suite; parameter points
-# outside NearRegularParams.in_dispersion_regime are skipped.
-SBOUND_COMBOS = ((0.2, 0.7), (0.3, 0.6))
-
-
-def _worst_dispersion(n, lo, hi):
-    """Max of s(d) over even-sum degree sequences in the window [lo, hi]^n.
-
-    Exact.  On each slice sum(d) = S the density mu is fixed and s is a
-    convex quadratic in d, so its maximum sits at a vertex of the slice:
-    every coordinate at lo or hi except at most one.  s is invariant under
-    coordinate permutation, so the vertices are the sequences with k
-    coordinates at hi, one at x in [lo, hi] and the rest at lo."""
-    from .weights import DegenerateDensity, sequence_stats
-
-    worst = 0.0
-    for k in range(n):
-        for x in range(lo, hi + 1):
-            d = (lo,) * (n - 1 - k) + (x,) + (hi,) * k
-            if sum(d) % 2:
-                continue
-            try:
-                worst = max(worst, sequence_stats(d).s)
-            except DegenerateDensity:
-                continue
-    return worst
-
-
-def _suite_sbound(n_max):
-    from .graphs import NearRegularParams
-
-    checks = []
-    for alpha, rho in SBOUND_COMBOS:
-        for n in range(4, n_max + 1):
-            for r in range(2, int((1 - rho) * n) + 1):
-                params = NearRegularParams(r=r, alpha=alpha, rho=rho, n=n)
-                if not params.in_dispersion_regime():
-                    continue
-                bound = params.dispersion_bound()
-                worst = _worst_dispersion(n, *params.degree_range())
-                checks.append(
-                    {
-                        "instance": f"n={n} r={r} alpha={alpha} rho={rho}",
-                        "quantity": "dispersion ratio s(d)",
-                        "bound": bound,
-                        "measured": worst,
-                        "pass": worst <= bound,
-                    }
-                )
-    return checks
-
-
-def _suite_formula(n_max):
-    from .weights import lw_log_weight
-
-    val = math.exp(lw_log_weight((2, 2, 2, 2)))
-    checks = [
-        {
-            "instance": "d=(2,2,2,2)",
-            "quantity": "asymptotic count formula value",
-            "bound": 3.228,
-            "measured": val,
-            "pass": abs(val - 3.228242059931677) <= 1e-3,
-        }
-    ]
-    for n in range(6, min(n_max, 10) + 1, 2):
-        for r in (2, 3):
-            if r > n - 1:
-                continue
-            d = (r,) * n
-            exact = oracle.count_realizations(d)
-            if exact == 0:
-                continue
-            ratio = math.exp(lw_log_weight(d)) / exact
-            checks.append(
-                {
-                    "instance": f"d=({r},)*{n}",
-                    "quantity": "formula/exact ratio (diagnostic)",
-                    "bound": None,
-                    "measured": ratio,
-                    "pass": True,
-                }
-            )
-    return checks
-
-
-_SUITES = {
-    "stationarity": _suite_stationarity,
-    "irreducible": _suite_irreducible,
-    "logconcave": _suite_logconcave,
-    "congestion": _suite_congestion,
-    "martinrandall": _suite_martinrandall,
-    "projection": _suite_projection,
-    "mconvex": _suite_mconvex,
-    "stability": _suite_stability,
-    "sbound": _suite_sbound,
-    "formula": _suite_formula,
-}
-
-
 def cmd_verify(args):
-    checks = _SUITES[args.suite](args.n)
+    checks = verify.run(args.suite, range(4, args.n + 1))
+    if not checks:
+        raise ParseError(f"suite {args.suite} runs no check at --n {args.n}")
     report = {"suite": args.suite, "checks": checks, "pass": all(c["pass"] for c in checks)}
     _emit(report, args.output)
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL

@@ -386,6 +386,8 @@ def _as_dense(P):
 
 def _spectral_form(P):
     """P for spectral_gap and tv_curve: dense below SPARSE_FROM states, else CSR."""
+    if P.shape[0] == 0:
+        raise ValueError("the chain has no states")
     if P.shape[0] < SPARSE_FROM:
         return _as_dense(P)
     return sp.csr_matrix(P, dtype=float)

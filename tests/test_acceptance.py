@@ -1,30 +1,21 @@
 """Acceptance criteria: exact desk-scale verification of every provable
 property, one test (and one printed pass/fail line) per criterion.
 
-The instance family used throughout is the near-regular desk family:
-per-node intervals drawn (as multisets, by relabeling symmetry) from
-{[r,r], [r,r+1], [r+1,r+1]} for each feasible r, at n = 4..6 (plus
-homogeneous instances at n = 7 where a criterion asks for it).
+Criteria 1-10 run the suites of ``degmc.verify``, the instances and checks
+that ``degmc verify`` runs, at n = 4..6 unless the criterion names another
+range, and assert on their records.  Most instances come from the
+near-regular desk family: per-node intervals drawn (as multisets, by
+relabeling symmetry) from {[r,r], [r,r+1], [r+1,r+1]} for each feasible r.
+Criteria 11 and 12 are statistical.
 """
 
-import itertools
-import math
 from collections import Counter
 
 import numpy as np
-import pytest
 
-from degmc import counting, oracle, projection
-from degmc.chains import (
-    DegreeIntervalKernel,
-    SwitchHingeFlipKernel,
-    SwitchKernel,
-    make_rng,
-    spawn_rngs,
-)
-from degmc.cli import SBOUND_COMBOS, _worst_dispersion
-from degmc.graphs import DegreeInterval, NearRegularParams, is_graphical
-from degmc.weights import WeightModel, lw_log_weight, sequence_stats
+from degmc import counting, oracle, verify
+from degmc.chains import make_rng
+from degmc.graphs import DegreeInterval
 
 
 def _report(capsys, criterion, passed, detail=""):
@@ -34,102 +25,29 @@ def _report(capsys, criterion, passed, detail=""):
     assert passed, f"{criterion}: {detail}"
 
 
-def near_regular_unit_instances(n):
-    """Multisets of per-node unit/constant intervals around each feasible r."""
-    seen = set()
-    out = []
-    for r in range(1, n - 1):
-        hi = min(r + 1, n - 1)
-        types = list(dict.fromkeys([(r, r), (r, hi), (hi, hi)]))
-        for combo in itertools.combinations_with_replacement(range(len(types)), n):
-            lower = tuple(types[t][0] for t in combo)
-            upper = tuple(types[t][1] for t in combo)
-            if (lower, upper) in seen:
-                continue
-            seen.add((lower, upper))
-            out.append(DegreeInterval(lower, upper))
-    return out
+def _verdict(capsys, criterion, records, enough, detail):
+    """Report the criterion: it passes when every record passes and enough
+    were checked."""
+    bad = [r for r in records if not r["pass"]]
+    _report(capsys, criterion, enough and not bad, f"failed: {bad[:3]}" if bad else detail)
 
 
-def near_regular_sequences(n):
-    """Graphical degree multisets with values in {r, r+1} for feasible r."""
-    out = set()
-    for r in range(1, n - 1):
-        for k in range(n + 1):
-            d = (r,) * k + (min(r + 1, n - 1),) * (n - k)
-            if is_graphical(d):
-                out.add(d)
-    return sorted(out)
-
-
-def all_unit_interval_instances(n):
-    """Every interval multiset with u_i in {l_i, l_i + 1} (criterion 3 scope)."""
-    types = []
-    for lo in range(n):
-        types.append((lo, lo))
-        if lo + 1 <= n - 1:
-            types.append((lo, lo + 1))
-    for combo in itertools.combinations_with_replacement(types, n):
-        yield DegreeInterval(tuple(t[0] for t in combo), tuple(t[1] for t in combo))
-
-
-def edge_count_profile(iv, counts_by_degree):
-    """w_m = |G_m(l,u)| for each m, from memoized per-sequence counts."""
-    per_m = {}
-    for d in itertools.product(*[range(a, b + 1) for a, b in zip(iv.lower, iv.upper)]):
-        s = sum(d)
-        if s % 2:
-            continue
-        c = counts_by_degree.get(d, 0)
-        if c:
-            per_m[s // 2] = per_m.get(s // 2, 0) + c
-    if not per_m:
-        return []
-    lo, hi = min(per_m), max(per_m)
-    return [per_m.get(m, 0) for m in range(lo, hi + 1)]
+def _measured(records, quantity):
+    return [r["measured"] for r in records if r["quantity"] == quantity]
 
 
 # --- criterion 1: uniform stationarity ---------------------------------------
 
 
 def test_criterion_1_uniform_stationarity(capsys):
-    worst = 0.0
-    checked = 0
-    for n in range(4, 7):
-        for d in near_regular_sequences(n):
-            space = oracle.enumerate_graphs(n, d=d)
-            if len(space) < 2:
-                continue
-            P = oracle._as_dense(oracle.build_matrix(SwitchKernel(d=d), space))
-            assert np.allclose(P, P.T, atol=1e-14)
-            pi = np.full(len(space), 1 / len(space))
-            worst = max(worst, float(np.abs(pi @ P - pi).max()))
-            checked += 1
-        for iv in near_regular_unit_instances(n):
-            space = oracle.enumerate_graphs(n, interval=iv)
-            if len(space) < 2:
-                continue
-            P = oracle._as_dense(oracle.build_matrix(DegreeIntervalKernel(iv), space))
-            assert np.allclose(P, P.T, atol=1e-14)
-            pi = np.full(len(space), 1 / len(space))
-            worst = max(worst, float(np.abs(pi @ P - pi).max()))
-            checked += 1
-            for m in projection.feasible_edge_counts(iv):
-                sub = oracle.enumerate_graphs(n, interval=iv, m=m)
-                if len(sub) < 2:
-                    continue
-                Pm = oracle._as_dense(
-                    oracle.build_matrix(SwitchHingeFlipKernel(iv, m), sub)
-                )
-                assert np.allclose(Pm, Pm.T, atol=1e-14)
-                pim = np.full(len(sub), 1 / len(sub))
-                worst = max(worst, float(np.abs(pim @ Pm - pim).max()))
-                checked += 1
-    _report(
+    records = verify.run("stationarity", range(4, 7))
+    errors = _measured(records, "uniform stationarity error")
+    _verdict(
         capsys,
         "1 uniform stationarity",
-        worst <= 1e-10 and checked > 100,
-        f"{checked} chains, max stationarity error {worst:.2e}",
+        records,
+        len(errors) > 100,
+        f"{len(errors)} chains, max stationarity error {max(errors):.2e}",
     )
 
 
@@ -137,85 +55,42 @@ def test_criterion_1_uniform_stationarity(capsys):
 
 
 def test_criterion_2_irreducibility(capsys):
-    bad = []
-    checked = 0
-    for n in range(4, 7):
-        for iv in near_regular_unit_instances(n):
-            space = oracle.enumerate_graphs(n, interval=iv)
-            if len(space) < 2:
-                continue
-            ncomp, _ = oracle.state_graph_components(space)
-            checked += 1
-            if ncomp != 1:
-                bad.append((n, iv.lower, iv.upper, ncomp))
+    records = verify.run("irreducible", range(4, 7))
     for r in range(1, 6):  # homogeneous instances at n = 7
         for upper in ((r,) * 7, (min(r + 1, 6),) * 7):
-            iv = DegreeInterval((r,) * 7, upper)
-            space = oracle.enumerate_graphs(7, interval=iv)
-            if len(space) < 2:
-                continue
-            ncomp, _ = oracle.state_graph_components(space)
-            checked += 1
-            if ncomp != 1:
-                bad.append((7, iv.lower, iv.upper, ncomp))
-    _report(
+            records += verify.check_irreducible(DegreeInterval((r,) * 7, upper))
+    _verdict(
         capsys,
         "2 irreducibility",
-        not bad and checked > 50,
-        f"{checked} state graphs connected" if not bad else f"disconnected: {bad[:3]}",
+        records,
+        len(records) > 50,
+        f"{len(records)} state graphs connected",
     )
 
 
 # --- criteria 3 and 4: log-concavity and the congestion bound ----------------
 
 
-@pytest.fixture(scope="module")
-def logconcave_profiles():
-    profiles = {}
-    for n in range(4, 7):
-        counts = oracle.degree_class_counts(n)
-        for iv in all_unit_interval_instances(n):
-            w = edge_count_profile(iv, counts)
-            if len(w) >= 1:
-                profiles[(iv.lower, iv.upper)] = w
-    return profiles
-
-
-def test_criterion_3_log_concavity(capsys, logconcave_profiles):
-    violations = []
-    for key, w in logconcave_profiles.items():
-        ok, where = oracle.verify_log_concave(w)
-        if not ok:
-            violations.append((key, where))
-    _report(
+def test_criterion_3_log_concavity(capsys):
+    records = verify.run("logconcave", range(4, 7))
+    _verdict(
         capsys,
         "3 log-concavity",
-        not violations and len(logconcave_profiles) > 5000,
-        f"{len(logconcave_profiles)} interval instances, zero exceptions"
-        if not violations
-        else f"violations: {violations[:3]}",
+        records,
+        len(records) > 5000,
+        f"{len(records)} interval instances, zero exceptions",
     )
 
 
-def test_criterion_4_congestion_bound(capsys, logconcave_profiles):
-    worst_margin = math.inf
-    checked = 0
-    for key, w in logconcave_profiles.items():
-        if len(w) < 2 or any(x <= 0 for x in w):
-            continue
-        P = projection.edge_count_matrix(w)
-        pi = np.asarray(w, dtype=float) / sum(w)
-        gap = oracle.spectral_gap(P, pi)
-        bound = projection.logconcave_gap_bound(w)
-        checked += 1
-        worst_margin = min(worst_margin, gap / bound)
-        if gap < bound - 1e-12:
-            _report(capsys, "4 congestion bound", False, f"violated at {key}")
-    _report(
+def test_criterion_4_congestion_bound(capsys):
+    records = verify.run("congestion", range(4, 7))
+    margin = min(r["measured"] / r["bound"] for r in records)
+    _verdict(
         capsys,
         "4 congestion bound",
-        checked > 1000,
-        f"{checked} profiles, min gap/bound ratio {worst_margin:.1f}",
+        records,
+        len(records) > 1000,
+        f"{len(records)} profiles, min gap/bound ratio {margin:.1f}",
     )
 
 
@@ -223,49 +98,14 @@ def test_criterion_4_congestion_bound(capsys, logconcave_profiles):
 
 
 def test_criterion_5_martin_randall(capsys):
-    failures = []
-    checked = 0
-    for n in range(4, 6):
-        for iv in near_regular_unit_instances(n):
-            if iv.lower == iv.upper:
-                continue
-            space = oracle.enumerate_graphs(n, interval=iv)
-            if len(space) < 2:
-                continue
-            # level 1: interval chain partitioned by edge count
-            P = oracle._as_dense(oracle.build_matrix(DegreeIntervalKernel(iv), space))
-            masses = oracle._popcount(space.masks).astype(int)
-            partition = [
-                list(np.nonzero(masses == m)[0]) for m in sorted(set(masses.tolist()))
-            ]
-            rep = oracle.verify_martin_randall(P, partition)
-            checked += 1
-            if not rep["holds"]:
-                failures.append(("level1", iv.lower, iv.upper))
-            # level 2: fixed-m chain partitioned by degree sequence
-            for m in sorted(set(masses.tolist())):
-                sub = oracle.enumerate_graphs(n, interval=iv, m=m)
-                if len(sub) < 2:
-                    continue
-                Pm = oracle._as_dense(
-                    oracle.build_matrix(SwitchHingeFlipKernel(iv, m), sub)
-                )
-                deg = sub.degrees()
-                uniq = np.unique(deg, axis=0)
-                part = [
-                    list(np.nonzero(np.all(deg == row, axis=1))[0]) for row in uniq
-                ]
-                rep = oracle.verify_martin_randall(Pm, part)
-                checked += 1
-                if not rep["holds"]:
-                    failures.append(("level2", iv.lower, iv.upper, m))
-    _report(
+    records = verify.run("martinrandall", range(4, 6))
+    levels = {r["instance"].rsplit(" by ", 1)[1] for r in records}
+    _verdict(
         capsys,
         "5 decomposition inequality",
-        not failures and checked > 50,
-        f"{checked} decompositions at both levels"
-        if not failures
-        else f"failed: {failures[:3]}",
+        records,
+        len(records) > 50 and levels == {"edge count", "degree sequence"},
+        f"{len(records)} decompositions at both levels",
     )
 
 
@@ -273,46 +113,16 @@ def test_criterion_5_martin_randall(capsys):
 
 
 def test_criterion_6_projection_stationarity(capsys):
-    worst_err = 0.0
-    worst_ratio = 0.0
-    checked = 0
-    instances = [DegreeInterval((1,) * 4, (2,) * 4)]
-    for n in range(4, 7):
-        instances.extend(
-            iv for iv in near_regular_unit_instances(n) if iv.lower != iv.upper
-        )
-    for iv in instances:
-        n = iv.n
-        for m in projection.feasible_edge_counts(iv):
-            sp = projection.DegreeSpace(iv, m, WeightModel("exact"))
-            if len(sp) < 2:
-                continue
-            counts = np.array(
-                [oracle.count_realizations(d) for d in sp.elements()], dtype=float
-            )
-            pi = counts / counts.sum()
-            H = projection.hinge_projection_matrix(sp)
-            L = projection.load_exchange_matrix(sp)
-            worst_err = max(
-                worst_err,
-                float(np.abs(pi @ H - pi).max()),
-                float(np.abs(pi @ L - pi).max()),
-            )
-            off = ~np.eye(len(sp), dtype=bool)
-            mask = off & (H > 0) & (L > 0)
-            assert ((H[off] > 0) == (L[off] > 0)).all()
-            if mask.any():
-                r = float(
-                    np.maximum(H[mask] / L[mask], L[mask] / H[mask]).max()
-                )
-                worst_ratio = max(worst_ratio, r / n**3)
-            checked += 1
-    _report(
+    records = verify.run("projection", range(4, 7))
+    errors = _measured(records, "projection stationarity error")
+    ratio = max(_measured(records, "hinge/exchange ratio over n^3"))
+    _verdict(
         capsys,
         "6 projection stationarity",
-        worst_err <= 1e-10 and worst_ratio <= 1.0 and checked > 100,
-        f"{checked} spaces, stationarity err {worst_err:.2e}, "
-        f"comparability ratio {worst_ratio:.3f} of the n^3 budget",
+        records,
+        len(errors) > 100,
+        f"{len(errors)} spaces, stationarity err {max(errors):.2e}, "
+        f"comparability ratio {ratio:.3f} of the n^3 budget",
     )
 
 
@@ -320,100 +130,23 @@ def test_criterion_6_projection_stationarity(capsys):
 
 
 def test_criterion_7_m_convexity(capsys):
-    checked = 0
-    for n in range(4, 7):
-        for iv in near_regular_unit_instances(n):
-            lo_m = (sum(iv.lower) + 1) // 2
-            hi_m = sum(iv.upper) // 2
-            for m in range(lo_m, hi_m + 1):
-                pts = projection.enumerate_degree_vectors(iv, m)
-                if not pts:
-                    continue
-                ok, witness = projection.check_m_convex(pts)
-                checked += 1
-                if not ok:
-                    _report(capsys, "7 M-convexity", False, f"witness {witness}")
-    _report(capsys, "7 M-convexity", checked > 100, f"{checked} degree spaces")
+    records = verify.run("mconvex", range(4, 7))
+    _verdict(capsys, "7 M-convexity", records, len(records) > 100, f"{len(records)} degree spaces")
 
 
 # --- criterion 8: strong stability and bounded repair transforms -------------
 
 
-def _qualifying_sequences(n):
-    out = []
-    for d in itertools.combinations_with_replacement(range(1, n - 1), n):
-        if is_graphical(d) and oracle.strongly_stable_condition(d, n):
-            out.append(d)
-    return out
-
-
 def test_criterion_8_strong_stability(capsys):
-    path_checked = 0
-    transform_checked = 0
-    bit = None
-    for n in range(4, 7):
-        for d in _qualifying_sequences(n):
-            # part 1: every unit-perturbed realization repairs in <= 10 steps
-            for u in range(n):
-                for v in range(n):
-                    if u == v:
-                        continue
-                    d2 = list(d)
-                    d2[u] += 1
-                    d2[v] -= 1
-                    space = oracle.enumerate_graphs(n, d=tuple(d2))
-                    for i in range(len(space)):
-                        g = space.graph(i)
-                        path_checked += 1
-                        if oracle.find_alternating_path(g, u, v, 10) is None:
-                            _report(
-                                capsys,
-                                "8 strong stability",
-                                False,
-                                f"no repair path: n={n} d={d} perturbed ({u},{v})",
-                            )
-            # part 2: bounded-symmetric-difference transforms for every
-            # realization and every edge goal (budget 12)
-            space = oracle.enumerate_graphs(n, d=d)
-            masks = space.masks
-            bit = oracle.pair_bit(n)
-            D = oracle._popcount(masks[:, None] ^ masks[None, :]).astype(np.int64)
-            for (a, b), bmask in bit.items():
-                has = (masks & np.int64(bmask)) != 0
-                for src, tgt in ((has, ~has), (~has, has)):  # remove / add goals
-                    if src.any() and tgt.any():
-                        worst = int(D[np.ix_(src, tgt)].min(axis=1).max())
-                        transform_checked += 1
-                        if worst > 12:
-                            _report(
-                                capsys,
-                                "8 strong stability",
-                                False,
-                                f"transform needs {worst} > 12 edges: n={n} d={d}",
-                            )
-            # keep {u,w} while removing {u,v}
-            for u in range(n):
-                others = [x for x in range(n) if x != u]
-                for v, w in itertools.permutations(others, 2):
-                    bv = np.int64(bit[tuple(sorted((u, v)))])
-                    bw = np.int64(bit[tuple(sorted((u, w)))])
-                    src = ((masks & bv) != 0) & ((masks & bw) != 0)
-                    tgt = ((masks & bv) == 0) & ((masks & bw) != 0)
-                    if src.any() and tgt.any():
-                        worst = int(D[np.ix_(src, tgt)].min(axis=1).max())
-                        transform_checked += 1
-                        if worst > 12:
-                            _report(
-                                capsys,
-                                "8 strong stability",
-                                False,
-                                f"keep/remove needs {worst} > 12: n={n} d={d}",
-                            )
-    _report(
+    records = verify.run("stability", range(4, 7))
+    paths = len(_measured(records, "alternating repair path length"))
+    goals = len(_measured(records, "transform symmetric difference"))
+    _verdict(
         capsys,
         "8 strong stability",
-        path_checked > 1000 and transform_checked > 500,
-        f"{path_checked} repair paths, {transform_checked} transform goals",
+        records,
+        paths > 1000 and goals > 500,
+        f"{paths} repair paths, {goals} transform goals",
     )
 
 
@@ -436,31 +169,26 @@ def test_criterion_9_dispersion_bound(capsys):
     (n-1)^2, i.e. (n-1) * s, must exceed the bound somewhere, so the check
     is sharp enough to catch a mis-normalized dispersion.
     """
-    checked = 0
+    records = []
     worst_frac = 0.0
     control_frac = 0.0
     witness = ""
-    for alpha, rho in SBOUND_COMBOS:
-        for n in list(range(4, 11)) + [20, 50, 100]:
-            for r in range(2, int((1 - rho) * n) + 1):
-                p = NearRegularParams(r=r, alpha=alpha, rho=rho, n=n)
-                if not p.in_dispersion_regime():
-                    continue
-                bound = p.dispersion_bound()
-                worst = _worst_dispersion(n, *p.degree_range())
-                checked += 1
-                control_frac = max(control_frac, (n - 1) * worst / bound)
-                if worst / bound > worst_frac:
-                    worst_frac = worst / bound
-                    witness = (
-                        f"s={worst:.4f} vs bound {bound:.4f} at n={n} r={r} "
-                        f"alpha={alpha} rho={rho}"
-                    )
-    _report(
+    for n in list(range(4, 11)) + [20, 50, 100]:
+        for p in verify.sbound_points(n):
+            (rec,) = verify.check_sbound(p)
+            records.append(rec)
+            frac = rec["measured"] / rec["bound"]
+            control_frac = max(control_frac, (n - 1) * frac)
+            if frac > worst_frac:
+                worst_frac = frac
+                s, bound = rec["measured"], rec["bound"]
+                witness = f"s={s:.4f} vs bound {bound:.4f} at {rec['instance']}"
+    _verdict(
         capsys,
         "9 dispersion bound",
-        checked > 10 and worst_frac <= 1.0 and control_frac > 1.0,
-        f"{checked} parameter points, worst s/bound = {worst_frac:.3f} ({witness}); "
+        records,
+        len(records) > 10 and control_frac > 1.0,
+        f"{len(records)} parameter points, worst s/bound = {worst_frac:.3f} ({witness}); "
         f"(n-1)-normalized control reaches {control_frac:.2f}x the bound",
     )
 
@@ -469,20 +197,20 @@ def test_criterion_9_dispersion_bound(capsys):
 
 
 def test_criterion_10_formula_sanity(capsys):
-    val = math.exp(lw_log_weight((2, 2, 2, 2)))
-    ok = abs(val - 3.228242059931677) <= 1e-3
+    records = verify.check_formula((2, 2, 2, 2))
+    (value,) = _measured(records, "asymptotic count formula value")
     diag = []
     for n in (6, 8, 10):
-        for r in (2, 3):
-            d = (r,) * n
-            exact = oracle.count_realizations(d)
-            if exact:
-                diag.append(f"n={n} r={r}: {math.exp(lw_log_weight(d)) / exact:.4f}")
-    _report(
+        for d in verify.regular_sequences(n):
+            (rec,) = verify.check_formula(d)
+            records.append(rec)
+            diag.append(f"n={n} r={d[0]}: {rec['measured']:.4f}")
+    _verdict(
         capsys,
         "10 formula sanity",
-        ok,
-        f"value {val:.6f} (exact count 3); estimate/exact ratios " + ", ".join(diag),
+        records,
+        len(diag) == 6,
+        f"value {value:.6f} (exact count 3); estimate/exact ratios " + ", ".join(diag),
     )
 
 

@@ -15,8 +15,10 @@ from degmc.cli import (
     EXIT_VERIFY_FAIL,
     main,
 )
-from degmc.chains import RNG_LAYOUT
-from degmc.graphs import read_edge_list, read_intervals
+from degmc import verify
+from degmc.chains import RNG_LAYOUT, DegreeIntervalKernel
+from degmc.graphs import DegreeInterval, read_edge_list, read_intervals
+from degmc.oracle import DENSE_LIMIT
 
 
 @pytest.fixture
@@ -209,17 +211,38 @@ class TestAnalyze:
 
 
 class TestVerify:
-    def test_passing_suite(self, capsys):
-        assert main(["verify", "logconcave", "--n", "5"]) == EXIT_OK
-        rec = json.loads(capsys.readouterr().out)
-        assert rec["pass"] is True and rec["checks"]
+    def test_stationarity_n7(self):
+        # the homogeneous n = 7 chains; [2,3]^7 has 35,150 states, far above
+        # DENSE_LIMIT
+        records = []
+        for r in range(1, 6):
+            for u in (r, r + 1):
+                iv = DegreeInterval((r,) * 7, (u,) * 7)
+                records += verify.check_stationarity(DegreeIntervalKernel(iv))
+        assert records and all(rec["pass"] for rec in records)
+        states = [int(rec["instance"].split()[-2]) for rec in records]  # "..., N states"
+        assert max(states) == 35150 > DENSE_LIMIT
 
-    def test_stationarity_n7(self, capsys):
-        # n = 7 reaches 35,150 states, far above DENSE_LIMIT
-        assert main(["verify", "stationarity", "--n", "7"]) == EXIT_OK
+    @pytest.mark.parametrize("suite", list(verify.SUITES))
+    def test_passing_suite(self, suite, capsys):
+        n = "6" if suite == "sbound" else "5"  # sbound has no instance below n = 6
+        assert main(["verify", suite, "--n", n]) == EXIT_OK
         rec = json.loads(capsys.readouterr().out)
-        assert rec["pass"] is True
-        assert any(c["instance"].startswith("n=7") for c in rec["checks"])
+        assert rec["suite"] == suite and rec["checks"] and rec["pass"] is True
+
+    @pytest.mark.parametrize("suite, n", [("sbound", "5"), ("stationarity", "3")])
+    def test_empty_suite_usage_error(self, suite, n, capsys):
+        assert main(["verify", suite, "--n", n]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert suite in err and f"--n {n}" in err
+
+    def test_formula_honours_n(self, capsys):
+        assert main(["verify", "formula", "--n", "12"]) == EXIT_OK
+        rec = json.loads(capsys.readouterr().out)
+        assert {f"d={(r,) * 12}" for r in (2, 3)} <= {c["instance"] for c in rec["checks"]}
+        # the count recursion stops at oracle.COUNT_CAP = 12 nodes
+        assert main(["verify", "formula", "--n", "13"]) == EXIT_TOO_LARGE
+        assert "too large" in capsys.readouterr().err
 
     def test_sbound_suite_passes(self, capsys):
         assert main(["verify", "sbound", "--n", "20"]) == EXIT_OK
@@ -227,7 +250,6 @@ class TestVerify:
         assert rec["pass"] is True and rec["checks"]
 
     def test_worst_dispersion_matches_exhaustive(self):
-        from degmc.cli import _worst_dispersion
         from degmc.weights import DegenerateDensity, sequence_stats
 
         def exhaustive(n, lo, hi):
@@ -244,7 +266,7 @@ class TestVerify:
         for n in range(2, 11):
             for lo in range(n):
                 for hi in range(lo, min(lo + 3, n - 1) + 1):
-                    assert _worst_dispersion(n, lo, hi) == pytest.approx(
+                    assert verify.worst_dispersion(n, lo, hi) == pytest.approx(
                         exhaustive(n, lo, hi), abs=1e-12
                     ), (n, lo, hi)
 
@@ -252,13 +274,9 @@ class TestVerify:
         assert main(["verify", "nonsense"]) == EXIT_PARSE
 
     def test_failure_exit_code(self, monkeypatch, capsys):
-        import degmc.cli as cli
-
+        fail = {"instance": "x", "quantity": "q", "bound": 0, "measured": 1, "pass": False}
         monkeypatch.setitem(
-            cli._SUITES,
-            "logconcave",
-            lambda n_max: [{"instance": "x", "quantity": "q", "bound": 0,
-                            "measured": 1, "pass": False}],
+            verify.SUITES, "logconcave", verify.Suite(lambda n: ["x"], lambda x: [fail])
         )
         assert main(["verify", "logconcave"]) == EXIT_VERIFY_FAIL
 

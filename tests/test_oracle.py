@@ -9,7 +9,7 @@ import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degmc import oracle, projection
+from degmc import oracle, projection, verify
 from degmc.chains import MOVES, DegreeIntervalKernel, SwitchHingeFlipKernel, SwitchKernel, make_rng
 from degmc.graphs import DegreeInterval, Graph, is_graphical
 from degmc.oracle import (
@@ -197,16 +197,10 @@ def dense_tv_curve(P, x0, t_max, pi=None):
 
 
 def acceptance_1_matrices():
-    """Matrices of every kernel on the acceptance-1 spaces, n = 4..6."""
-    from test_acceptance import near_regular_sequences, near_regular_unit_instances
-
+    """Every kernel of the acceptance-1 chains with its space, n = 4..6."""
     for n in range(4, 7):
-        for d in near_regular_sequences(n):
-            yield SwitchKernel(d=d), enumerate_graphs(n, d=d)
-        for iv in near_regular_unit_instances(n):
-            yield DegreeIntervalKernel(iv), enumerate_graphs(n, interval=iv)
-            for m in projection.feasible_edge_counts(iv):
-                yield SwitchHingeFlipKernel(iv, m), enumerate_graphs(n, interval=iv, m=m)
+        for kernel in verify.stationarity_chains(n):
+            yield kernel, verify.state_space(kernel)
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +265,22 @@ class TestSparsePath:
         monkeypatch.setattr(oracle, "SPARSE_FROM", 3)
         assert abs(spectral_gap(sparse.csr_matrix(three)) - eigvalsh_gap(three)) <= 1e-12
         assert tv_curve(three, 0, 6) == pytest.approx(dense_tv_curve(three, 0, 6), abs=1e-14)
+
+    @staticmethod
+    def empty_chain():
+        # (1,1,1,1,1) has an odd sum, so G(d) is empty and P is 0 x 0
+        d = (1,) * 5
+        P = oracle.build_matrix(SwitchKernel(d=d), enumerate_graphs(5, d=d))
+        assert P.shape == (0, 0)
+        return P
+
+    def test_empty_chain_gap(self):
+        with pytest.raises(ValueError, match="no states"):
+            spectral_gap(self.empty_chain())
+
+    def test_empty_chain_tv_curve(self):
+        with pytest.raises(ValueError, match="no states"):
+            tv_curve(self.empty_chain(), 0, 4)
 
     def test_tv_curves_match(self, large_matrices):
         for P in large_matrices[::4]:
