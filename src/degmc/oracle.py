@@ -8,6 +8,13 @@ an independent memoized recursion.  All of it is meant for small n
 (enumeration is capped at n = 8, the count recursion at ``COUNT_CAP``) and
 is used to verify the provable properties of the samplers.
 
+Up to n = 7 every graph is in the cached ``census``, grouped by degree
+vector, so a space is a union of whole classes: ``enumerate_graphs``
+selects the classes in its box and ``degree_class_counts`` reads the class
+sizes, neither touching a mask outside its answer.  At n = 8 the census
+(2^28 masks) is not kept, and ``enumerate_graphs`` scans every mask in
+chunks.
+
 Transition matrices are CSR at every size.  ``spectral_gap`` and
 ``tv_curve`` take them, or a dense array, in one form chosen by size alone
 (``_spectral_form``): dense below ``SPARSE_FROM`` states, where the gap is
@@ -24,6 +31,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -113,28 +121,62 @@ def node_bit_masks(n):
     return tuple(out)
 
 
+# a degree on n <= 7 nodes fits in 3 bits
+_KEY_BITS = 3
+
+
+class Census(NamedTuple):
+    """All 2^C(n,2) graphs on n nodes, grouped by degree vector.
+
+    Class k holds the graphs with degree vector ``degrees[k]``; its masks
+    are ``masks[starts[k]:starts[k + 1]]``, ascending.  The classes run in
+    the lexicographic order of their degree vectors.
+    """
+
+    masks: np.ndarray  # int64, sorted by (degree vector, mask)
+    starts: np.ndarray  # int64, one more entry than there are classes
+    degrees: np.ndarray  # uint8, (classes, n)
+
+
 @lru_cache(maxsize=None)
 def census(n):
-    """All 2^C(n,2) graphs on n nodes: (masks, degrees) arrays.
+    """The ``Census`` of every graph on n nodes.  Cached for n <= 7.
 
-    degrees has shape (2^E, n), dtype uint8.  Cached for n <= 7.
+    One in-place sort of ``key << C(n,2) | mask`` builds it, where the key
+    packs the degree vector with node 0 in its top bits.
     """
     if n > 7:
         raise TooLarge(f"census is cached only up to n=7, got n={n}")
     e = n * (n - 1) // 2
-    masks = np.arange(1 << e, dtype=np.int64)
-    deg = np.empty((1 << e, n), dtype=np.uint8)
+    # masks and keys below 2^21 fit in int32 until they are packed together
+    masks = np.arange(1 << e, dtype=np.int32)
+    key = np.zeros(1 << e, dtype=np.int32)
+    tmp = np.empty(1 << e, dtype=np.int32)
     for v, nm in enumerate(node_bit_masks(n)):
-        deg[:, v] = _popcount(masks & np.int64(nm))
-    return masks, deg
+        np.bitwise_and(masks, nm, out=tmp)
+        key += np.left_shift(_popcount(tmp), _KEY_BITS * (n - 1 - v), out=tmp, dtype=np.int32)
+    del tmp
+    key = key.astype(np.int64)
+    sizes = np.bincount(key)
+    keys = np.flatnonzero(sizes)
+    key <<= e
+    key |= masks
+    del masks
+    key.sort()
+    key &= (1 << e) - 1
+    starts = np.concatenate([[0], np.cumsum(sizes[keys])])
+    # column-major, so that each node's degrees are one contiguous column
+    degrees = np.empty((len(keys), n), dtype=np.uint8, order="F")
+    for v in range(n):
+        degrees[:, v] = (keys >> (_KEY_BITS * (n - 1 - v))) & ((1 << _KEY_BITS) - 1)
+    return Census(key, starts, degrees)
 
 
 @lru_cache(maxsize=None)
 def degree_class_counts(n):
     """Exact |G(d)| for every degree sequence d on n nodes, as a dict."""
-    masks, deg = census(n)
-    uniq, counts = np.unique(deg, axis=0, return_counts=True)
-    return {tuple(int(x) for x in row): int(c) for row, c in zip(uniq, counts)}
+    c = census(n)
+    return dict(zip(map(tuple, c.degrees.tolist()), np.diff(c.starts).tolist()))
 
 
 # --- state spaces ------------------------------------------------------------
@@ -182,30 +224,46 @@ class StateSpace:
 def enumerate_graphs(n, d=None, interval=None, m=None):
     """State space for G(d), G(l,u) or G_m(l,u) by exhaustive enumeration.
 
-    Exactly one of d / interval must be given (m optionally restricts the
-    edge count, with or without an interval).
+    Exactly one of d / interval must be given, with n entries (m optionally
+    restricts the edge count, with or without an interval).  Up to n = 7 the
+    space is the union of the census classes whose degree vectors lie in the
+    box (with sum 2m if m is given); at n = 8 a chunked scan tests every
+    mask.  Either way the masks come out ascending.
     """
     if n > ENUMERATION_CAP:
         raise TooLarge(f"enumeration capped at n={ENUMERATION_CAP}, got n={n}")
     if (d is None) == (interval is None):
         raise ValueError("give exactly one of d= or interval=")
     if d is not None:
-        d = tuple(int(x) for x in d)
-        lo = hi = np.asarray(d, dtype=np.int64)
+        lo = hi = d = tuple(int(x) for x in d)
+        if len(d) != n:
+            raise ValueError(f"d has {len(d)} entries, expected n={n}")
         desc = f"G{d}"
     else:
-        lo = np.asarray(interval.lower, dtype=np.int64)
-        hi = np.asarray(interval.upper, dtype=np.int64)
+        if interval.n != n:
+            raise ValueError(f"interval has {interval.n} nodes, expected n={n}")
+        lo, hi = interval.lower, interval.upper
         desc = f"G({interval.lower},{interval.upper})"
     if m is not None:
         desc += f", m={m}"
 
     if n <= 7:
-        masks, deg = census(n)
-        sel = np.all((deg >= lo) & (deg <= hi), axis=1)
+        c = census(n)
+        sel = np.ones(len(c.degrees), dtype=bool)
+        for v in range(n):
+            col = c.degrees[:, v]
+            sel &= (col >= lo[v]) & (col <= hi[v])
         if m is not None:
-            sel &= _popcount(masks).astype(np.int64) == m
-        return StateSpace(n, masks[sel], desc)
+            sel &= c.degrees.sum(axis=1) == 2 * m
+        first = c.starts[:-1][sel]
+        sizes = c.starts[1:][sel] - first
+        # gather the selected slices: output position p of class j reads
+        # first[j] + p - (its offset in the output)
+        rows = np.repeat(first - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+        masks = c.masks[rows]
+        if len(first) > 1:
+            masks.sort()
+        return StateSpace(n, masks, desc)
 
     # n == 8: chunked scan, never materializing the full census
     e = n * (n - 1) // 2

@@ -49,8 +49,10 @@ class TestMasks:
         assert mask_of(graph_of(m, 6)) == m
 
     def test_census_degrees(self):
-        masks, deg = census(4)
+        masks, starts, degrees = census(4)
         assert len(masks) == 64
+        # each mask's degree vector, read off its class
+        deg = {int(x): degrees[k] for k in range(len(degrees)) for x in masks[starts[k] : starts[k + 1]]}
         # spot check the complete graph
         full = int(masks[-1])
         assert tuple(deg[full]) == (3, 3, 3, 3)
@@ -71,7 +73,87 @@ class TestMasks:
         assert got[-2:].tolist() == [0, 62]
 
 
+def scan_degrees(n):
+    """Every mask on n nodes and its degree vector, read bit by bit."""
+    masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
+    deg = np.zeros((len(masks), n), dtype=np.uint8)
+    for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        bit = ((masks >> k) & 1).astype(np.uint8)
+        deg[:, i] += bit
+        deg[:, j] += bit
+    return masks, deg
+
+
+SCANS = {n: scan_degrees(n) for n in range(1, 7)}
+
+
+def scan_filter(n, lo, hi, m=None, scans=SCANS):
+    """The masks of G_m(lo, hi) by a full scan, ascending."""
+    masks, deg = scans[n]
+    sel = np.all((deg >= lo) & (deg <= hi), axis=1)
+    if m is not None:
+        sel &= deg.sum(axis=1) == 2 * m
+    return masks[sel]
+
+
+def assert_same_masks(space, want):
+    assert space.masks.dtype == np.int64
+    assert np.all(np.diff(space.masks) > 0)
+    assert np.array_equal(space.masks, want)
+
+
+@st.composite
+def enumeration_cases(draw):
+    """(n, d, interval, m): a degree vector or an interval on n <= 6 nodes,
+    with or without an edge count, empty spaces included."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.none() | st.integers(-1, n * (n - 1) // 2 + 1))
+    if draw(st.booleans()):
+        return n, tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))), None, m
+    lower = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    upper = [draw(st.integers(lo, n - 1)) for lo in lower]
+    return n, None, DegreeInterval(lower, upper), m
+
+
 class TestEnumeration:
+    @given(enumeration_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_scan(self, case):
+        n, d, iv, m = case
+        lo, hi = (d, d) if d is not None else (iv.lower, iv.upper)
+        assert_same_masks(enumerate_graphs(n, d=d, interval=iv, m=m), scan_filter(n, lo, hi, m))
+
+    def test_matches_full_scan_n7(self):
+        """Every edge count of [2,3]^7 (and two beyond its range), one d in
+        it and a non-graphical d, against a full scan of the 2^21 masks."""
+        scans = {7: scan_degrees(7)}
+        iv = DegreeInterval((2,) * 7, (3,) * 7)
+        for m in (None, 6, 7, 8, 9, 10, 11):
+            want = scan_filter(7, iv.lower, iv.upper, m, scans)
+            assert len(want) > 0 or m in (6, 11)
+            assert_same_masks(enumerate_graphs(7, interval=iv, m=m), want)
+        for d in ((2, 3, 2, 3, 3, 2, 3), (6, 6, 1, 1, 1, 1, 2)):
+            want = scan_filter(7, d, d, None, scans)
+            assert len(want) == count_realizations(d)
+            assert_same_masks(enumerate_graphs(7, d=d), want)
+
+    def test_empty(self):
+        assert not is_graphical((3, 3, 1, 1))
+        assert_same_masks(enumerate_graphs(4, d=(3, 3, 1, 1)), np.empty(0, dtype=np.int64))
+        iv = DegreeInterval((1,) * 5, (2,) * 5)
+        for m in (2, 6):  # edge counts [1,2]^5 cannot reach
+            assert_same_masks(enumerate_graphs(5, interval=iv, m=m), np.empty(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_wrong_length(self, n):
+        """A d or interval whose length is not n is refused on both paths,
+        not broadcast."""
+        for d in ((2,), (2,) * (n - 2), (2,) * (n + 1)):
+            with pytest.raises(ValueError, match="entries, expected n="):
+                enumerate_graphs(n, d=d)
+        with pytest.raises(ValueError, match="nodes, expected n="):
+            enumerate_graphs(n, interval=DegreeInterval((1,) * (n - 1), (2,) * (n - 1)))
+
     def test_fixed_degree(self):
         sp = enumerate_graphs(4, d=(1, 1, 1, 1))
         assert len(sp) == 3  # perfect matchings of K4
@@ -115,6 +197,17 @@ class TestCounting:
     def test_matches_census_sampled_n6(self):
         items = sorted(degree_class_counts(6).items())
         for d, c in items[::37]:
+            assert count_realizations(d) == c, d
+
+    def test_census_classes_n7(self):
+        """The class sizes of the n=7 census cover all 2^21 graphs, and a
+        seeded sample of them matches the count recursion."""
+        counts = degree_class_counts(7)
+        assert sum(counts.values()) == 1 << 21
+        assert list(counts) == sorted(counts)
+        items = list(counts.items())
+        for k in make_rng(7).choice(len(items), size=40, replace=False):
+            d, c = items[k]
             assert count_realizations(d) == c, d
 
     def test_nongraphical_zero(self):
