@@ -12,8 +12,10 @@ Up to n = 7 every graph is in the cached ``census``, grouped by degree
 vector, so a space is a union of whole classes: ``enumerate_graphs``
 selects the classes in its box and ``degree_class_counts`` reads the class
 sizes, neither touching a mask outside its answer.  At n = 8 the census
-(2^28 masks) is not kept, and ``enumerate_graphs`` scans every mask in
-chunks.
+(2^28 masks) is not kept: ``enumerate_graphs`` fixes node 0's
+neighbourhood S, selects the n = 7 classes of the rest of the box and
+shifts them past S's bits, so every space at every n is read from census
+classes.
 
 Transition matrices are CSR at every size.  ``spectral_gap`` and
 ``tv_curve`` take them, or a dense array, in one form chosen by size alone
@@ -59,10 +61,6 @@ class Mismatch(ValueError):
 
 class NotStochastic(ValueError):
     """Raised when a matrix fails row-stochasticity checks."""
-
-
-class NotFound(RuntimeError):
-    """Raised when a bounded constructive search finds no witness."""
 
 
 # --- edge bitmask utilities --------------------------------------------------
@@ -227,8 +225,10 @@ def enumerate_graphs(n, d=None, interval=None, m=None):
     Exactly one of d / interval must be given, with n entries (m optionally
     restricts the edge count, with or without an interval).  Up to n = 7 the
     space is the union of the census classes whose degree vectors lie in the
-    box (with sum 2m if m is given); at n = 8 a chunked scan tests every
-    mask.  Either way the masks come out ascending.
+    box (with sum 2m if m is given).  At n = 8 it is the union, over each
+    neighbourhood S of node 0 allowed by the box, of the n = 7 spaces on
+    nodes 1..7 with the box lowered by S and m by |S|.  Either way the masks
+    come out ascending.
     """
     if n > ENUMERATION_CAP:
         raise TooLarge(f"enumeration capped at n={ENUMERATION_CAP}, got n={n}")
@@ -265,21 +265,25 @@ def enumerate_graphs(n, d=None, interval=None, m=None):
             masks.sort()
         return StateSpace(n, masks, desc)
 
-    # n == 8: chunked scan, never materializing the full census
-    e = n * (n - 1) // 2
-    nm = node_bit_masks(n)
-    out = []
-    chunk = 1 << 22
-    for start in range(0, 1 << e, chunk):
-        masks = np.arange(start, min(start + chunk, 1 << e), dtype=np.int64)
-        sel = np.ones(len(masks), dtype=bool)
-        for v in range(n):
-            dv = _popcount(masks & np.int64(nm[v])).astype(np.int64)
-            sel &= (dv >= lo[v]) & (dv <= hi[v])
-        if m is not None:
-            sel &= _popcount(masks).astype(np.int64) == m
-        out.append(masks[sel])
-    return StateSpace(n, np.concatenate(out), desc)
+    # n == 8: node 0's pairs are bits 0..6 and the pairs of nodes 1..7 are
+    # the n = 7 layout shifted up by 7, so every graph is (g << 7) | S, with
+    # g a graph on nodes 1..7 and S node 0's neighbourhood
+    parts = [np.empty(0, dtype=np.int64)]
+    for s in range(1 << 7):
+        nbr = [s >> v & 1 for v in range(7)]
+        deg0 = sum(nbr)
+        if not lo[0] <= deg0 <= hi[0]:
+            continue
+        sub_lo = [max(a - x, 0) for a, x in zip(lo[1:], nbr)]
+        sub_hi = [min(b - x, 6) for b, x in zip(hi[1:], nbr)]
+        if any(a > b for a, b in zip(sub_lo, sub_hi)):
+            continue
+        sub = DegreeInterval(sub_lo, sub_hi)
+        g = enumerate_graphs(7, interval=sub, m=None if m is None else m - deg0).masks
+        parts.append((g << 7) | s)
+    masks = np.concatenate(parts)
+    masks.sort()
+    return StateSpace(n, masks, desc)
 
 
 # --- independent counting oracle ---------------------------------------------
@@ -465,16 +469,6 @@ def check_stochastic(P, tol=1e-12):
     return P
 
 
-def stationary_distribution(P):
-    """Left fixed point of P (dense), by eigen-decomposition."""
-    P = _as_dense(P)
-    w, v = np.linalg.eig(P.T)
-    i = int(np.argmin(np.abs(w - 1.0)))
-    pi = np.real(v[:, i])
-    pi = np.abs(pi)
-    return pi / pi.sum()
-
-
 def spectral_gap(P, pi=None):
     """1 - second largest eigenvalue, via the reversibility symmetrization.
 
@@ -533,14 +527,19 @@ def congestion_check(P, pi=None):
     """
     P = check_stochastic(P, tol=1e-9)
     size = P.shape[0]
-    if pi is None:
-        pi = stationary_distribution(P)
     for i in range(size):
         for j in range(size):
             if abs(i - j) > 1 and P[i, j] != 0:
                 raise ValueError("congestion_check expects a birth-death chain")
     if size == 1:
         return {"sigma": 0.0, "ell": 0, "bound": np.inf, "gap": 1.0, "holds": True}
+    if pi is None:
+        up, down = np.diag(P, 1), np.diag(P, -1)
+        if (np.minimum(up, down) <= 0).any():
+            raise ValueError("flow crosses a zero-probability transition")
+        # detailed balance: pi[i + 1] / pi[i] = P[i, i + 1] / P[i + 1, i]
+        pi = np.cumprod(np.concatenate([[1.0], up / down]))
+        pi /= pi.sum()
     sigma = 0.0
     for z in range(size - 1):
         flow = float(pi[: z + 1].sum() * pi[z + 1 :].sum())
@@ -624,7 +623,7 @@ def state_graph_components(space, moves=("switch", "hinge", "add_delete")):
     return ncomp, labels
 
 
-# --- alternating paths and short transforms ----------------------------------
+# --- alternating paths ------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -740,59 +739,6 @@ def strongly_stable_condition(d, n=None):
         n = len(d)
     dmin, dmax = min(d), max(d)
     return (dmax - dmin + 1) ** 2 <= 4 * dmin * (n - dmax - 1)
-
-
-def short_cycle_transform(g, d, goal, budget=12):
-    """A graph with the same degree sequence meeting the goal, symmetric
-    difference at most `budget` edges.
-
-    goal is one of ("remove_edge", u, v), ("add_edge", u, v) or
-    ("keep_remove", u, w, v) which keeps {u,w} while removing {u,v}.
-    Implemented as an exact minimum-symmetric-difference search over the
-    enumerated realization class.
-    """
-    d = tuple(int(x) for x in d)
-    if g.degree_sequence() != d:
-        raise ValueError("graph does not realize d")
-    if _goal_satisfied(g, goal):
-        return g
-    space = enumerate_graphs(g.n, d=d)
-    masks = space.masks
-    bit = pair_bit(g.n)
-    kind = goal[0]
-    if kind == "remove_edge":
-        b = np.int64(bit[tuple(sorted(goal[1:3]))])
-        sel = (masks & b) == 0
-    elif kind == "add_edge":
-        b = np.int64(bit[tuple(sorted(goal[1:3]))])
-        sel = (masks & b) != 0
-    elif kind == "keep_remove":
-        u, w, v = goal[1:4]
-        bk = np.int64(bit[tuple(sorted((u, w)))])
-        br = np.int64(bit[tuple(sorted((u, v)))])
-        sel = ((masks & bk) != 0) & ((masks & br) == 0)
-    else:
-        raise ValueError(f"unknown goal {goal!r}")
-    cand = masks[sel]
-    if len(cand) == 0:
-        raise NotFound(f"no realization of {d} satisfies {goal}")
-    diff = _popcount(cand ^ np.int64(mask_of(g))).astype(np.int64)
-    i = int(np.argmin(diff))
-    if diff[i] > budget:
-        raise NotFound(f"best transform for {goal} needs {int(diff[i])} > {budget} edge changes")
-    return graph_of(int(cand[i]), g.n)
-
-
-def _goal_satisfied(g, goal):
-    kind = goal[0]
-    if kind == "remove_edge":
-        return not g.has_edge(goal[1], goal[2])
-    if kind == "add_edge":
-        return g.has_edge(goal[1], goal[2])
-    if kind == "keep_remove":
-        u, w, v = goal[1:4]
-        return g.has_edge(u, w) and not g.has_edge(u, v)
-    raise ValueError(f"unknown goal {goal!r}")
 
 
 # --- canonical symmetric-difference decomposition ----------------------------

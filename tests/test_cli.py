@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 
 import pytest
@@ -17,6 +18,7 @@ from degmc.cli import (
 )
 from degmc import verify
 from degmc.chains import RNG_LAYOUT, DegreeIntervalKernel
+from degmc.counting import exact_interval_count
 from degmc.graphs import DegreeInterval, read_edge_list, read_intervals
 from degmc.oracle import DENSE_LIMIT
 
@@ -131,6 +133,14 @@ class TestCount:
 
         exact = exact_interval_count(ri(iv5), 4)
         assert rec["value_if_small"] == pytest.approx(exact, rel=0.15)
+
+    def test_m_flag_n8(self, tmp_path, capsys):
+        p = tmp_path / "iv8.txt"
+        p.write_text("".join(f"{i} 2 3\n" for i in range(8)))
+        assert main(["count", str(p), "--m", "10", "--seed", "3"]) == EXIT_OK
+        rec = json.loads(capsys.readouterr().out)
+        exact = exact_interval_count(read_intervals(p), 10)
+        assert abs(rec["log_value"] - math.log(exact)) <= rec["eps"]
 
     def test_output_file(self, iv5, tmp_path):
         out = tmp_path / "est.json"

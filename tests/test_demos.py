@@ -1,9 +1,9 @@
 """The demos run to completion against the package in src/.
 
-Demo 02 passes build_matrix output straight to stationary_distribution,
-spectral_gap and tv_curve; demo 03 walks the counting ladder.  Each takes
-under a second.  Demo 01 is left out: it draws long chain runs and takes
-about ten seconds.
+Demo 02 passes build_matrix output straight to spectral_gap and tv_curve
+and reports the stationarity error of the uniform law; demo 03 walks the
+counting ladder.  Each takes under a second.  Demo 01 is left out: it
+draws long chain runs and takes about ten seconds.
 """
 
 import os

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from degmc import oracle, projection, verify
 from degmc.chains import MOVES, DegreeIntervalKernel, SwitchHingeFlipKernel, SwitchKernel, make_rng
+from degmc.counting import exact_interval_count
 from degmc.graphs import DegreeInterval, Graph, is_graphical
 from degmc.oracle import (
     AlternatingPath,
     Mismatch,
-    NotFound,
     NotStochastic,
     TooLarge,
     canonical_decomposition,
@@ -27,10 +27,8 @@ from degmc.oracle import (
     find_alternating_path,
     graph_of,
     mask_of,
-    short_cycle_transform,
     spectral_gap,
     state_graph_components,
-    stationary_distribution,
     strongly_stable_condition,
     tv_curve,
     verify_log_concave,
@@ -73,15 +71,20 @@ class TestMasks:
         assert got[-2:].tolist() == [0, 62]
 
 
-def scan_degrees(n):
-    """Every mask on n nodes and its degree vector, read bit by bit."""
-    masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
+def bit_degrees(masks, n):
+    """Each mask's degree vector on n nodes, read bit by bit."""
     deg = np.zeros((len(masks), n), dtype=np.uint8)
     for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
         bit = ((masks >> k) & 1).astype(np.uint8)
         deg[:, i] += bit
         deg[:, j] += bit
-    return masks, deg
+    return deg
+
+
+def scan_degrees(n):
+    """Every mask on n nodes and its degree vector."""
+    masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
+    return masks, bit_degrees(masks, n)
 
 
 SCANS = {n: scan_degrees(n) for n in range(1, 7)}
@@ -115,6 +118,9 @@ def enumeration_cases(draw):
     return n, None, DegreeInterval(lower, upper), m
 
 
+IV8 = DegreeInterval((2,) * 8, (3,) * 8)
+
+
 class TestEnumeration:
     @given(enumeration_cases())
     @settings(max_examples=150, deadline=None)
@@ -136,6 +142,36 @@ class TestEnumeration:
             want = scan_filter(7, d, d, None, scans)
             assert len(want) == count_realizations(d)
             assert_same_masks(enumerate_graphs(7, d=d), want)
+
+    @pytest.mark.parametrize(
+        "d, iv, m",
+        [(None, IV8, m) for m in (None, 7, 8, 9, 10, 11, 12, 13)]
+        + [
+            ((3,) * 8, None, None),
+            # node 0 isolated, and node 0 joined to every other node
+            (None, DegreeInterval((0,) + (2,) * 7, (0,) + (3,) * 7), None),
+            (None, DegreeInterval((7,) + (2,) * 7, (7,) + (3,) * 7), None),
+            ((7, 7, 1, 1, 1, 1, 1, 1), None, None),  # not graphical
+            (None, DegreeInterval((0,) * 8, (7,) * 8), 3),  # both clamps bind
+        ],
+    )
+    def test_exact_n8(self, d, iv, m):
+        """At n = 8 the masks are distinct (strictly ascending), each lies in
+        the box with m edges (degrees read bit by bit), and there are as many
+        as the independent count recursion gives, so the set is exact."""
+        lo, hi = (d, d) if d is not None else (iv.lower, iv.upper)
+        masks = enumerate_graphs(8, d=d, interval=iv, m=m).masks
+        assert masks.dtype == np.int64
+        assert np.all(np.diff(masks) > 0)
+        assert np.all((masks >= 0) & (masks < 1 << 28))
+        deg = bit_degrees(masks, 8)
+        assert np.all((deg >= lo) & (deg <= hi))
+        if m is not None:
+            assert np.all(deg.sum(axis=1) == 2 * m)
+        want = count_realizations(d) if d is not None else exact_interval_count(iv, m)
+        assert len(masks) == want
+        if iv is not None and iv.upper == (7,) * 8:
+            assert want == math.comb(28, 3)
 
     def test_empty(self):
         assert not is_graphical((3, 3, 1, 1))
@@ -241,7 +277,6 @@ class TestMatrices:
     def test_two_state_gap(self):
         P = np.array([[0.75, 0.25], [0.25, 0.75]])
         assert spectral_gap(P) == pytest.approx(0.5)
-        assert stationary_distribution(P) == pytest.approx([0.5, 0.5])
 
     def test_tv_curve_decreases(self):
         P = np.array([[0.75, 0.25], [0.25, 0.75]])
@@ -415,6 +450,13 @@ class TestCongestion:
         assert rep["holds"]
         assert rep["gap"] >= 1.0 / rep["bound"]
 
+    def test_detailed_balance_pi(self):
+        """Without pi, the law comes from detailed balance along the path."""
+        k = np.arange(60)
+        for w in ([1.0, 4.0, 6.0, 4.0, 1.0], np.exp(-(((k - 23) / 9.0) ** 2))):
+            P = projection.edge_count_matrix(w)
+            assert congestion_check(P) == pytest.approx(congestion_check(P, np.asarray(w) / np.sum(w)))
+
     def test_rejects_non_birth_death(self):
         P = np.full((3, 3), 1 / 3)
         with pytest.raises(ValueError):
@@ -498,42 +540,6 @@ class TestAlternatingPaths:
     def test_stability_condition(self):
         assert strongly_stable_condition((2, 2, 2, 2, 2, 2))
         assert not strongly_stable_condition((5, 1, 1, 1, 1, 1))
-
-
-class TestShortCycleTransform:
-    def test_remove_edge(self):
-        d = (2,) * 5
-        g = oracle.enumerate_graphs(5, d=d).graph(0)
-        e = sorted(g.edges)[0]
-        g2 = short_cycle_transform(g, d, ("remove_edge",) + e)
-        assert g2.degree_sequence() == d
-        assert not g2.has_edge(*e)
-        assert len(g.edges ^ g2.edges) <= 12
-
-    def test_add_edge_and_keep_remove(self):
-        d = (2,) * 6
-        sp = oracle.enumerate_graphs(6, d=d)
-        g = sp.graph(7)
-        non_edge = next(
-            (i, j) for i, j in itertools.combinations(range(6), 2) if not g.has_edge(i, j)
-        )
-        g2 = short_cycle_transform(g, d, ("add_edge",) + non_edge)
-        assert g2.has_edge(*non_edge) and g2.degree_sequence() == d
-        (u, w) = sorted(g.edges)[0]
-        v = next(x for x in range(6) if x not in (u, w) and g.has_edge(u, x))
-        g3 = short_cycle_transform(g, d, ("keep_remove", u, w, v))
-        assert g3.has_edge(u, w) and not g3.has_edge(u, v)
-
-    def test_satisfied_goal_returns_input(self):
-        d = (1, 1, 1, 1)
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        assert short_cycle_transform(g, d, ("remove_edge", 0, 2)) is g
-
-    def test_not_found(self):
-        d = (1, 1)
-        g = Graph.from_edges(2, [(0, 1)])
-        with pytest.raises(NotFound):
-            short_cycle_transform(g, d, ("remove_edge", 0, 1))
 
 
 class TestCanonicalDecomposition:
