@@ -38,22 +38,11 @@ class ZeroHits(RuntimeError):
 def _exact_interval_count_cached(lower, upper, m):
     if len(lower) > oracle.COUNT_CAP:
         raise oracle.TooLarge(f"exact interval counts supported for n <= {oracle.COUNT_CAP}")
-    iv = DegreeInterval(lower, upper)
-    from .projection import enumerate_degree_vectors
-
-    if m is not None:
-        pts = enumerate_degree_vectors(iv, m)
-    else:
-        pts = []
-        lo_m = (sum(lower) + 1) // 2
-        hi_m = sum(upper) // 2
-        for mm in range(lo_m, hi_m + 1):
-            pts.extend(enumerate_degree_vectors(iv, mm))
-    return sum(oracle.count_realizations(d) for d in pts)
+    return oracle.count_interval(lower, upper, m)
 
 
 def exact_interval_count(iv, m=None):
-    """Exact |G(l,u)| (or |G_m(l,u)|) by summing per-sequence counts."""
+    """Exact |G(l,u)| (or |G_m(l,u)|) by the node-elimination recursion."""
     return _exact_interval_count_cached(iv.lower, iv.upper, m)
 
 

@@ -4,9 +4,11 @@ Everything here is exhaustive or exact: state spaces are enumerated as edge
 bitmasks, transition matrices and state-graph components are built from
 toggle bit patterns that ``_toggles`` reads off the chains' own in-place
 moves (``chains.MOVES``), vectorized over the states, and counts come from
-an independent memoized recursion.  All of it is meant for small n
-(enumeration is capped at n = 8, the count recursion at ``COUNT_CAP``) and
-is used to verify the provable properties of the samplers.
+an independent memoized recursion, ``count_interval``, that eliminates one
+node at a time from a multiset of degree bounds: |G(d)|, |G(l,u)| and
+|G_m(l,u)| are one computation, which lists no degree vector.  All of it is
+meant for small n (enumeration is capped at n = 8, the count recursion at
+``COUNT_CAP``) and is used to verify the provable properties of the samplers.
 
 Up to n = 7 every graph is in the cached ``census``, grouped by degree
 vector, so a space is a union of whole classes: ``enumerate_graphs``
@@ -126,14 +128,15 @@ _KEY_BITS = 3
 class Census(NamedTuple):
     """All 2^C(n,2) graphs on n nodes, grouped by degree vector.
 
-    Class k holds the graphs with degree vector ``degrees[k]``; its masks
-    are ``masks[starts[k]:starts[k + 1]]``, ascending.  The classes run in
-    the lexicographic order of their degree vectors.
+    Class k holds the graphs with degree vector ``degrees[k]`` (and
+    ``edges[k]`` edges); its masks are ``masks[starts[k]:starts[k + 1]]``,
+    ascending.  The classes run in the lexicographic order of their degrees.
     """
 
     masks: np.ndarray  # int64, sorted by (degree vector, mask)
     starts: np.ndarray  # int64, one more entry than there are classes
     degrees: np.ndarray  # uint8, (classes, n)
+    edges: np.ndarray  # int64, (classes,)
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +170,7 @@ def census(n):
     degrees = np.empty((len(keys), n), dtype=np.uint8, order="F")
     for v in range(n):
         degrees[:, v] = (keys >> (_KEY_BITS * (n - 1 - v))) & ((1 << _KEY_BITS) - 1)
-    return Census(key, starts, degrees)
+    return Census(key, starts, degrees, degrees.sum(axis=1, dtype=np.int64) // 2)
 
 
 @lru_cache(maxsize=None)
@@ -254,7 +257,7 @@ def enumerate_graphs(n, d=None, interval=None, m=None):
             col = c.degrees[:, v]
             sel &= (col >= lo[v]) & (col <= hi[v])
         if m is not None:
-            sel &= c.degrees.sum(axis=1) == 2 * m
+            sel &= c.edges == m
         first = c.starts[:-1][sel]
         sizes = c.starts[1:][sel] - first
         # gather the selected slices: output position p of class j reads
@@ -290,66 +293,71 @@ def enumerate_graphs(n, d=None, interval=None, m=None):
 
 
 def count_realizations(d):
-    """Exact |G(d)| via the memoized node-elimination recursion.
-
-    Independent of the enumeration path: the highest-degree node is joined
-    to a multiset of partner degree classes, summing binomial choice counts
-    over the residual sorted sequences.
-    """
+    """Exact |G(d)|: ``count_interval`` on the box lower = upper = d, or 0
+    if d has a negative entry, an entry above n - 1 or an odd sum.
+    Independent of the enumeration path."""
     d = tuple(int(x) for x in d)
     if len(d) > COUNT_CAP:
         raise TooLarge(f"counting recursion supported for n <= {COUNT_CAP}")
-    if any(x < 0 for x in d) or (d and max(d) > len(d) - 1):
+    if any(x < 0 for x in d) or (d and max(d) > len(d) - 1) or sum(d) % 2:
         return 0
-    if sum(d) % 2 != 0:
-        return 0
-    return _count_sorted(tuple(sorted(d, reverse=True)))
+    return count_interval(d, d)
+
+
+def count_interval(lower, upper, m=None):
+    """Exact |G(l,u)|, or |G_m(l,u)| given m, by node elimination; uncapped.
+
+    The node with the smallest bounds (lo, hi) takes a degree k in [lo, hi]
+    and k partners, whose bounds become (max(lo' - 1, 0), hi' - 1); the
+    other nodes are counted the same way.  Nodes with equal bounds are
+    interchangeable, so a memo state is the multiset of bounds and the
+    remaining degree sum (None if m is free), and the partners are a count
+    per group of equal bounds, weighted by a product of binomials."""
+    return _count_nodes(_node_groups(Counter(zip(lower, upper))), None if m is None else 2 * m)
+
+
+def _node_groups(bounds):
+    """The memo key of a {(lo, hi): nodes} multiset: (lo, hi, nodes) triples,
+    smallest bounds first, without the nodes held at degree 0."""
+    return tuple(sorted((lo, hi, c) for (lo, hi), c in bounds.items() if hi > 0))
 
 
 @lru_cache(maxsize=None)
-def _count_sorted(d):
-    if not d or d[0] == 0:
-        return 1
-    k, rest = d[0], d[1:]
-    # group the remaining degrees by value
-    values, counts = [], []
-    for v in rest:
-        if values and values[-1] == v:
-            counts[-1] += 1
-        else:
-            values.append(v)
-            counts.append(1)
-    total = 0
-    # choose how many partners come from each positive degree class
-    positive = [(i, values[i], counts[i]) for i in range(len(values)) if values[i] > 0]
-    if sum(c for _, _, c in positive) < k:
+def _count_nodes(groups, s):
+    """Graphs on the nodes of ``groups`` with degree sum s (any if None)."""
+    if s is not None and not sum(lo * c for lo, _, c in groups) <= s <= sum(hi * c for _, hi, c in groups):
         return 0
-    for pick in _compositions(k, [c for _, _, c in positive]):
-        ways = 1
-        residual = list(rest)
-        # rebuild the residual multiset
-        new_vals = []
-        for (idx, v, c), kv in zip(positive, pick):
-            ways *= math.comb(c, kv)
-            new_vals.extend([v - 1] * kv + [v] * (c - kv))
-        for i, v in enumerate(values):
-            if v == 0:
-                new_vals.extend([0] * counts[i])
-        sub = tuple(sorted(new_vals, reverse=True))
-        total += ways * _count_sorted(sub)
+    if not groups:
+        return 1
+    (lo, hi, c), rest = groups[0], groups[1:]
+    if c > 1:
+        rest = ((lo, hi, c - 1),) + rest
+    caps = tuple(c for _, _, c in rest)
+    total = 0
+    for k in range(lo, min(hi, sum(caps)) + 1):
+        for pick, ways in _partner_picks(k, caps):
+            bounds = {}
+            for (a, b, c), kt in zip(rest, pick):
+                if kt < c:
+                    bounds[a, b] = bounds.get((a, b), 0) + c - kt
+                if kt:
+                    low = (a - 1 if a else 0, b - 1)
+                    bounds[low] = bounds.get(low, 0) + kt
+            total += ways * _count_nodes(_node_groups(bounds), None if s is None else s - 2 * k)
     return total
 
 
-def _compositions(k, caps):
-    """All ways to split k over bins with the given caps."""
+@lru_cache(maxsize=None)
+def _partner_picks(k, caps):
+    """Each way to pick k partners from groups of caps[t] nodes: the number
+    taken from each group, and the number of node sets it stands for."""
     if not caps:
-        if k == 0:
-            yield ()
-        return
-    head = caps[0]
-    for take in range(min(k, head) + 1):
-        for tail in _compositions(k - take, caps[1:]):
-            yield (take,) + tail
+        return (((), 1),) if k == 0 else ()
+    return tuple(
+        ((take,) + pick, math.comb(caps[0], take) * ways)
+        for take in range(min(k, caps[0]) + 1)
+        for pick, ways in _partner_picks(k - take, caps[1:])
+    )
 
 
 # --- transition matrices -----------------------------------------------------

@@ -39,6 +39,45 @@ class TestExactCounts:
             for m in feasible_edge_counts(iv):
                 spm = oracle.enumerate_graphs(5, interval=iv, m=m)
                 assert exact_interval_count(iv, m) == len(spm)
+        # 512 graphs in the box, 130 of them with 4 edges
+        assert exact_interval_count(IV5, 4) == 130
+
+    def test_n12_without_degree_vectors(self, monkeypatch):
+        """|G([2,3]^12)| and every |G_m| come from the recursion alone.  By
+        symmetry G_m holds C(12, j) copies of G(3^j 2^(12-j)), j = 2m - 24;
+        the total is the sum of count_realizations over all 2^12 degree
+        vectors."""
+        def refuse(*args):
+            raise AssertionError("degree vectors were enumerated")
+
+        monkeypatch.setattr("degmc.projection.enumerate_degree_vectors", refuse)
+        iv = DegreeInterval((2,) * 12, (3,) * 12)
+        ms = feasible_edge_counts(iv)
+        assert ms == list(range(12, 19))
+        by_m = [exact_interval_count(iv, m) for m in ms]
+        for m, got in zip(ms, by_m):
+            j = 2 * m - 24
+            assert got == math.comb(12, j) * oracle.count_realizations((3,) * j + (2,) * (12 - j))
+        assert exact_interval_count(iv) == sum(by_m) == 1322299270600
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [
+            ((2,) * 7, (3,) * 7),
+            ((0,) * 7, (6,) * 7),
+            # node 0 held at degree 0; lower bounds of 0 and 1 that clamp
+            ((0, 1, 2, 3, 0, 1, 5), (0, 3, 4, 3, 6, 2, 6)),
+            ((1, 0, 0, 0, 2, 0, 1), (1, 2, 0, 3, 4, 6, 2)),
+        ],
+    )
+    def test_matches_census_n7(self, lower, upper):
+        """On 7-node boxes the counts equal sums of census class sizes, with
+        m free and at every m from -1 to 22 (outside the box at both ends)."""
+        iv = DegreeInterval(lower, upper)
+        classes = [(d, c) for d, c in oracle.degree_class_counts(7).items() if iv.contains(d)]
+        assert exact_interval_count(iv) == sum(c for _, c in classes)
+        for m in range(-1, 23):
+            assert exact_interval_count(iv, m) == sum(c for d, c in classes if sum(d) == 2 * m)
 
     def test_fails_fast_above_cap(self, monkeypatch):
         """Above the count recursion's cap, exact counts and the sampler's

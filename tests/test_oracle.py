@@ -47,8 +47,9 @@ class TestMasks:
         assert mask_of(graph_of(m, 6)) == m
 
     def test_census_degrees(self):
-        masks, starts, degrees = census(4)
+        masks, starts, degrees, edges = census(4)
         assert len(masks) == 64
+        assert np.array_equal(2 * edges, degrees.sum(axis=1))
         # each mask's degree vector, read off its class
         deg = {int(x): degrees[k] for k in range(len(degrees)) for x in masks[starts[k] : starts[k + 1]]}
         # spot check the complete graph
@@ -127,7 +128,12 @@ class TestEnumeration:
     def test_matches_full_scan(self, case):
         n, d, iv, m = case
         lo, hi = (d, d) if d is not None else (iv.lower, iv.upper)
-        assert_same_masks(enumerate_graphs(n, d=d, interval=iv, m=m), scan_filter(n, lo, hi, m))
+        want = scan_filter(n, lo, hi, m)
+        assert_same_masks(enumerate_graphs(n, d=d, interval=iv, m=m), want)
+        if iv is not None:
+            assert exact_interval_count(iv, m) == len(want)
+        elif m is None:
+            assert count_realizations(d) == len(want)
 
     def test_matches_full_scan_n7(self):
         """Every edge count of [2,3]^7 (and two beyond its range), one d in
