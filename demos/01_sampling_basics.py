@@ -36,10 +36,10 @@ for _ in range(draws):
 tv = 0.5 * sum(abs(hits[i] / draws - 1 / len(space)) for i in range(len(space)))
 print(f"chain sampler: {draws} draws of {steps} steps, TV from uniform = {tv:.4f}")
 
-# the descent sampler gives exactly-uniform draws at desk scale
+# the count-walk sampler gives exactly-uniform draws at desk scale
 hits = Counter()
 rng = make_rng(1)
 for _ in range(draws):
     hits[space.index_of(sample_interval(iv, rng=rng))] += 1
 tv = 0.5 * sum(abs(hits[i] / draws - 1 / len(space)) for i in range(len(space)))
-print(f"descent sampler: TV from uniform = {tv:.4f}")
+print(f"count-walk sampler: TV from uniform = {tv:.4f}")

@@ -1,26 +1,30 @@
-"""Approximate counting and near-uniform sampling for degree intervals.
+"""Approximate counting and exactly uniform sampling for degree intervals.
 
 Counting telescopes over a ladder of tightening lower bounds: the target
 class is written as an exactly countable single-sequence class times a
 product of membership ratios, each ratio estimated by uniform sampling
-from the enclosing class.  Sampling recurses on the first non-pinned
-coordinate, choosing its degree proportionally to exact sub-class counts.
+from the enclosing class.  Sampling walks down the exact count (Jerrum,
+Valiant and Vazirani): a uniform integer below |G(l,u)| is unranked by
+``oracle.graph_of_rank`` through the same node-elimination recursion that
+counts, so each draw is exactly uniform up to ``oracle.COUNT_CAP`` nodes.
+``sample_realization`` does the same on the box l = u = d and runs the
+switch chain above the cap.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .graphs import DegreeInterval, Graph, Infeasible, is_graphical, realize, _feasible_sequence
+from .graphs import Infeasible, realize, _feasible_sequence
 from .chains import SwitchKernel, make_rng, run_with_rng
 from . import oracle
 
-EXACT_SAMPLE_CAP = 7  # exact uniform draws from G(d) by enumeration up to this n
+EXACT_SAMPLE_CAP = oracle.COUNT_CAP  # sample_realization draws exactly up to this n
 
 
 class OddResidue(ValueError):
@@ -240,66 +244,42 @@ def estimate_count(iv, eps, delta, seed=None):
     )
 
 
-# --- near-uniform sampling ---------------------------------------------------
+# --- sampling ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _descent_counts(lower, upper):
-    """Branch counts for the first non-pinned coordinate of the interval."""
-    n = len(lower)
-    i = next((k for k in range(n) if lower[k] < upper[k]), None)
-    if i is None:
-        return None, None
-    branch = []
-    for v in range(lower[i], upper[i] + 1):
-        lo = lower[:i] + (v,) + lower[i + 1 :]
-        hi = upper[:i] + (v,) + upper[i + 1 :]
-        branch.append(_exact_interval_count_cached(lo, hi, None))
-    return i, tuple(branch)
-
-
-def _sample_degree_sequence(iv, rng):
-    """A degree sequence drawn with probability |G(d)| / |G(l,u)|."""
-    lower, upper = iv.lower, iv.upper
+def _below(total, rng):
+    """An exactly uniform integer in [0, total), for a total of any size:
+    the top bits of raw 64-bit words, redrawn while at or above the total."""
+    bits = (total - 1).bit_length()
+    words = -(-bits // 64)
     while True:
-        i, branch = _descent_counts(lower, upper)
-        if i is None:
-            return lower
-        total = sum(branch)
-        if total == 0:
-            raise Infeasible("interval contains no graph")
-        pick = int(rng.integers(0, total))
-        acc = 0
-        for off, c in enumerate(branch):
-            acc += c
-            if pick < acc:
-                v = lower[i] + off
-                break
-        lower = lower[:i] + (v,) + lower[i + 1 :]
-        upper = upper[:i] + (v,) + upper[i + 1 :]
+        r = int.from_bytes(rng.bit_generator.random_raw(words).tobytes(), "little") >> (64 * words - bits)
+        if r < total:
+            return r
 
 
 def sample_realization(d, rng):
-    """Uniform (small n) or near-uniform (switch chain) draw from G(d)."""
+    """Uniform draw from G(d) up to ``EXACT_SAMPLE_CAP`` nodes (a uniform
+    rank unranked through the count recursion), near-uniform (switch chain)
+    beyond it."""
     d = tuple(int(x) for x in d)
     n = len(d)
     if n <= EXACT_SAMPLE_CAP:
-        space = oracle.enumerate_graphs(n, d=d)
-        if len(space) == 0:
+        total = oracle.count_realizations(d)
+        if total == 0:
             raise Infeasible(f"{d} is not graphical")
-        return space.graph(int(rng.integers(0, len(space))))
+        return oracle.graph_of_rank(d, d, None, _below(total, rng))
     g0 = realize(d)
     return run_with_rng(SwitchKernel(d=d), g0, 20 * n * n * sum(d), rng)
 
 
 def sample_interval(iv, rng=None, seed=None):
-    """A draw from G(l,u): exactly uniform whenever n is at most the exact
-    sampling cap, near-uniform beyond it.
-
-    Degree sequences are drawn with probability proportional to their exact
-    realization counts (memoized across draws), then a realization is drawn
-    within the chosen class."""
+    """An exactly uniform draw from G(l,u): a uniform rank below the exact
+    count (memoized across draws), unranked through the same recursion.
+    Raises TooLarge above ``oracle.COUNT_CAP`` nodes."""
     if rng is None:
         rng = make_rng(0 if seed is None else seed)
-    d = _sample_degree_sequence(iv, rng)
-    return sample_realization(d, rng)
+    total = exact_interval_count(iv)
+    if total == 0:
+        raise Infeasible("interval contains no graph")
+    return oracle.graph_of_rank(iv.lower, iv.upper, None, _below(total, rng))

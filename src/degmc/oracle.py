@@ -6,9 +6,12 @@ toggle bit patterns that ``_toggles`` reads off the chains' own in-place
 moves (``chains.MOVES``), vectorized over the states, and counts come from
 an independent memoized recursion, ``count_interval``, that eliminates one
 node at a time from a multiset of degree bounds: |G(d)|, |G(l,u)| and
-|G_m(l,u)| are one computation, which lists no degree vector.  All of it is
-meant for small n (enumeration is capped at n = 8, the count recursion at
-``COUNT_CAP``) and is used to verify the provable properties of the samplers.
+|G_m(l,u)| are one computation, which lists no degree vector.
+``graph_of_rank`` walks the same eliminations (``_eliminations``) down the
+counts to the r-th graph, which is what the exact sampler draws.  All of it
+is meant for small n (enumeration is capped at n = 8, the count recursion
+at ``COUNT_CAP``) and is used to verify the provable properties of the
+samplers.
 
 Up to n = 7 every graph is in the cached ``census``, grouped by degree
 vector, so a space is a union of whole classes: ``enumerate_graphs``
@@ -30,6 +33,7 @@ and both work on any space the enumeration reaches.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -329,11 +333,21 @@ def _count_nodes(groups, s):
         return 0
     if not groups:
         return 1
+    total = 0
+    for k, _, ways, child in _eliminations(groups):
+        total += ways * _count_nodes(child, None if s is None else s - 2 * k)
+    return total
+
+
+def _eliminations(groups):
+    """Each way to eliminate one node of the first group: its degree k, the
+    partners taken from each remaining group (in order, the first group
+    first if it keeps nodes), the number of node sets that stands for, and
+    the groups left."""
     (lo, hi, c), rest = groups[0], groups[1:]
     if c > 1:
         rest = ((lo, hi, c - 1),) + rest
     caps = tuple(c for _, _, c in rest)
-    total = 0
     for k in range(lo, min(hi, sum(caps)) + 1):
         for pick, ways in _partner_picks(k, caps):
             bounds = {}
@@ -343,8 +357,7 @@ def _count_nodes(groups, s):
                 if kt:
                     low = (a - 1 if a else 0, b - 1)
                     bounds[low] = bounds.get(low, 0) + kt
-            total += ways * _count_nodes(_node_groups(bounds), None if s is None else s - 2 * k)
-    return total
+            yield k, pick, ways, _node_groups(bounds)
 
 
 @lru_cache(maxsize=None)
@@ -358,6 +371,72 @@ def _partner_picks(k, caps):
         for take in range(min(k, caps[0]) + 1)
         for pick, ways in _partner_picks(k - take, caps[1:])
     )
+
+
+def graph_of_rank(lower, upper, m, r):
+    """The r-th graph of G(l,u), or of G_m(l,u) given m, in the order of the
+    ``count_interval`` recursion; IndexError unless 0 <= r < the count.
+
+    Each node bound (lo, hi) keeps a bucket of node labels.  At each
+    state r picks an elimination by the cumulative counts of the
+    eliminations; the rest of r splits by divmod into the child's rank and
+    an index below ``ways``, which picks by mixed radix one subset of each
+    group's labels (lexicographic rank).  So a uniform r gives a uniform
+    graph."""
+    groups = _node_groups(Counter(zip(lower, upper)))
+    s = None if m is None else 2 * m
+    if not 0 <= r < _count_nodes(groups, s):
+        raise IndexError(f"rank {r} outside G({lower},{upper})" + ("" if m is None else f", m={m}"))
+    labels = {}
+    for v, key in enumerate(zip(lower, upper)):
+        labels.setdefault(key, []).append(v)
+    edges = []
+    while groups:
+        steps, cum = _walk_steps(groups, s)
+        e = bisect.bisect_right(cum, r)
+        pick, child, s, sub = steps[e]
+        q, r = divmod(r - (cum[e - 1] if e else 0), sub)
+        v = labels[groups[0][:2]].pop()
+        moved = {}
+        for (a, b, _), kt in zip(groups if labels[groups[0][:2]] else groups[1:], pick):
+            nodes = labels[a, b]
+            q, qt = divmod(q, math.comb(len(nodes), kt))
+            take, keep = _split_rank(nodes, kt, qt)
+            edges.extend((v, x) for x in take)
+            moved.setdefault((a, b), []).extend(keep)
+            moved.setdefault((a - 1 if a else 0, b - 1), []).extend(take)
+        labels, groups = moved, child
+    return Graph(len(lower), frozenset(edges))
+
+
+@lru_cache(maxsize=None)
+def _walk_steps(groups, s):
+    """The non-empty eliminations of a state that a walk visits, as (pick,
+    child, child's degree sum, child's count), with the running total of
+    graphs through each."""
+    steps, cum, total = [], [], 0
+    for k, pick, ways, child in _eliminations(groups):
+        t = None if s is None else s - 2 * k
+        sub = _count_nodes(child, t)
+        if sub:
+            total += ways * sub
+            steps.append((pick, child, t, sub))
+            cum.append(total)
+    return steps, cum
+
+
+def _split_rank(items, k, q):
+    """The q-th k-subset of items in lexicographic order, and the others."""
+    take, keep = [], []
+    for i, x in enumerate(items):
+        j = k - len(take)
+        first = math.comb(len(items) - i - 1, j - 1) if j else 0  # subsets whose next member is x
+        if q < first:
+            take.append(x)
+        else:
+            q -= first
+            keep.append(x)
+    return take, keep
 
 
 # --- transition matrices -----------------------------------------------------

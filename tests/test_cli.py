@@ -101,7 +101,7 @@ class TestSample:
         man = json.load(open(f"{b1}_manifest.json"))
         assert man["seed"] == 4 and man["chain"] == "interval" and man["steps"] == 100
         assert "instance_hash" in man and len(man["files"]) == 2
-        assert man["rng_layout"] == RNG_LAYOUT == 2
+        assert man["rng_layout"] == RNG_LAYOUT == 3
 
     def test_switch_needs_constant_interval(self, iv5):
         assert main(["sample", iv5, "--chain", "switch", "--steps", "10"]) == EXIT_INFEASIBLE

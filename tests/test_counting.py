@@ -80,8 +80,8 @@ class TestExactCounts:
             assert exact_interval_count(iv, m) == sum(c for d, c in classes if sum(d) == 2 * m)
 
     def test_fails_fast_above_cap(self, monkeypatch):
-        """Above the count recursion's cap, exact counts and the sampler's
-        descent raise TooLarge before listing any degree vector."""
+        """Above the count recursion's cap, exact counts and the exact
+        sampler raise TooLarge before listing any degree vector."""
         def refuse(*args):
             raise AssertionError("degree vectors were enumerated")
 
@@ -226,6 +226,15 @@ class TestSampling:
         for _ in range(200):
             g = sample_interval(IV5, rng=rng)
             assert IV5.contains_graph(g)
+
+    def test_count_beyond_int64(self):
+        """|G([3,8]^12)| is above 2^63, numpy's bound for an integer draw;
+        the rank is drawn from raw words instead."""
+        iv = DegreeInterval((3,) * 12, (8,) * 12)
+        assert exact_interval_count(iv) >= 2**63
+        rng = make_rng(6)
+        for _ in range(5):
+            assert iv.contains_graph(sample_interval(iv, rng=rng))
 
     def test_interval_sampler_tv(self):
         space = oracle.enumerate_graphs(5, interval=UNIT5)

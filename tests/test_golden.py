@@ -9,12 +9,12 @@ import hashlib
 
 import pytest
 
-from degmc.chains import RNG_LAYOUT
+from degmc.chains import RNG_LAYOUT, make_rng
 from degmc.cli import EXIT_OK, main
-from degmc.counting import estimate_count, sample_interval
+from degmc.counting import estimate_count, sample_interval, sample_realization
 from degmc.graphs import DegreeInterval, write_edge_list
 
-LAYOUT = 2
+LAYOUT = 3
 SAMPLE = {
     "switch": ("9f1d8ee53cf08e8b1e4807dda33ef517c61b5e389e36a3b25b1151711d134f1a",
                "9b53865bf25a3457cb5172b695fb5f596bce124122d33dcc6a95b4daaeba0200"),
@@ -23,8 +23,9 @@ SAMPLE = {
     "interval": ("43acfcd3a90a2adafaea855553b83068b889f1499f6c46706949c35969d4da58",
                  "25c5d26abbb17ce9b91d595f7dc3d7265391a3a4027390b851e6f0c6154687f4"),
 }
-DRAW = {6: "69b1ee18fbfd1057bddfabf2f4606c06a4fe1c7ac714832ef703aaac43b7dd52",
-        9: "113516f10a1bc164360348b942dc7f03bda31975980279dcf3b56783c743c3c8"}
+DRAW = {6: "530267513b6eb26b3f48cd0a594843a8a0572e35014b1a258b28418bc980db27",
+        9: "f2fc61bf77d9ad55d1ece9a58e8dd8002beeffc327211ec6ac51b2bee54abe75"}
+CHAIN = "25d656648cca61121f87bb74dd5b56d7a06d18085ddcb8b69bfff8b7b64ae9df"
 ESTIMATE = "98be5d6ece23dff8e3c7734fecd962cd87886f9c9ddec252a03cf71c3cd750aa"
 
 
@@ -52,11 +53,22 @@ def test_sample_files(tmp_path, chain):
 
 @pytest.mark.parametrize("n", DRAW)
 def test_sample_interval(tmp_path, n):
-    """sample_interval on [2,3]^n, seed 5: the exact path at n = 6, the
-    switch-chain path at n = 9."""
+    """sample_interval on [2,3]^n, seed 5: exact draws (count-recursion
+    walks) at n = 6 and n = 9."""
     path = tmp_path / "draw.edges"
     write_edge_list(path, sample_interval(DegreeInterval((2,) * n, (3,) * n), seed=5))
     assert sha(path) == DRAW[n]
+
+
+def test_sample_realization_chain(tmp_path):
+    """sample_realization of 3-regular graphs on n = 14 nodes, seed 4: the
+    switch-chain path above the exact cap."""
+    d = (3,) * 14
+    g = sample_realization(d, make_rng(4))
+    assert g.degree_sequence() == d
+    path = tmp_path / "chain.edges"
+    write_edge_list(path, g)
+    assert sha(path) == CHAIN
 
 
 def test_estimate_count():

@@ -26,6 +26,7 @@ from degmc.oracle import (
     enumerate_graphs,
     find_alternating_path,
     graph_of,
+    graph_of_rank,
     mask_of,
     spectral_gap,
     state_graph_components,
@@ -134,6 +135,13 @@ class TestEnumeration:
             assert exact_interval_count(iv, m) == len(want)
         elif m is None:
             assert count_realizations(d) == len(want)
+        # the ranks below the count unrank to the scan's masks, one each
+        if len(want) <= 20_000:
+            got = sorted(mask_of(graph_of_rank(lo, hi, m, r)) for r in range(len(want)))
+            assert np.array_equal(np.array(got, dtype=np.int64), want)
+        for r in (-1, len(want)):
+            with pytest.raises(IndexError):
+                graph_of_rank(lo, hi, m, r)
 
     def test_matches_full_scan_n7(self):
         """Every edge count of [2,3]^7 (and two beyond its range), one d in
