@@ -16,7 +16,7 @@ iv = DegreeInterval((1,) * 5, (3,) * 5)
 print(f"instance: n={iv.n}, lower={iv.lower}, upper={iv.upper}")
 
 ms = feasible_edge_counts(iv)
-profile = [exact_interval_count(iv, m) for m in ms]
+profile = oracle.edge_count_profile(iv.lower, iv.upper)
 print(f"per-edge-count profile: {dict(zip(ms, profile))}")
 ok, _ = oracle.verify_log_concave(profile)
 print(f"profile log-concave: {ok}")

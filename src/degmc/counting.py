@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Infeasible, realize, _feasible_sequence
+from .graphs import DegreeInterval, Infeasible, realize, _feasible_sequence
 from .chains import SwitchKernel, make_rng, run_with_rng
 from . import oracle
 

@@ -4,10 +4,10 @@ Everything here is exhaustive or exact: state spaces are enumerated as edge
 bitmasks, transition matrices and state-graph components are built from
 toggle bit patterns that ``_toggles`` reads off the chains' own in-place
 moves (``chains.MOVES``), vectorized over the states, and counts come from
-an independent memoized recursion, ``count_interval``, that eliminates one
-node at a time from a multiset of degree bounds: |G(d)|, |G(l,u)| and
-|G_m(l,u)| are one computation, which lists no degree vector.
-``graph_of_rank`` walks the same eliminations (``_eliminations``) down the
+an independent node-elimination recursion, memoized on the multiset of
+degree bounds alone (``_profile``), whose value is the edge-count profile:
+|G(d)|, |G(l,u)|, |G_m(l,u)| and the profile (``edge_count_profile``) are
+one computation.  ``graph_of_rank`` walks the same eliminations down the
 counts to the r-th graph, which is what the exact sampler draws.  All of it
 is meant for small n (enumeration is capped at n = 8, the count recursion
 at ``COUNT_CAP``) and is used to verify the provable properties of the
@@ -297,14 +297,11 @@ def enumerate_graphs(n, d=None, interval=None, m=None):
 
 
 def count_realizations(d):
-    """Exact |G(d)|: ``count_interval`` on the box lower = upper = d, or 0
-    if d has a negative entry, an entry above n - 1 or an odd sum.
-    Independent of the enumeration path."""
+    """Exact |G(d)|: ``count_interval`` on the box lower = upper = d, which
+    is 0 if d is not graphical.  Independent of the enumeration path."""
     d = tuple(int(x) for x in d)
     if len(d) > COUNT_CAP:
         raise TooLarge(f"counting recursion supported for n <= {COUNT_CAP}")
-    if any(x < 0 for x in d) or (d and max(d) > len(d) - 1) or sum(d) % 2:
-        return 0
     return count_interval(d, d)
 
 
@@ -314,29 +311,48 @@ def count_interval(lower, upper, m=None):
     The node with the smallest bounds (lo, hi) takes a degree k in [lo, hi]
     and k partners, whose bounds become (max(lo' - 1, 0), hi' - 1); the
     other nodes are counted the same way.  Nodes with equal bounds are
-    interchangeable, so a memo state is the multiset of bounds and the
-    remaining degree sum (None if m is free), and the partners are a count
-    per group of equal bounds, weighted by a product of binomials."""
-    return _count_nodes(_node_groups(Counter(zip(lower, upper))), None if m is None else 2 * m)
+    interchangeable, so a memo state is the multiset of bounds alone, and
+    the partners are a count per group of equal bounds, weighted by a
+    product of binomials.  A state's value is its edge-count profile."""
+    return _count(_box_groups(lower, upper), m)
+
+
+def edge_count_profile(lower, upper):
+    """[|G_m(l,u)| from the first m where it is nonzero to the last]; uncapped."""
+    return list(_profile(_box_groups(lower, upper))[1])
+
+
+def _box_groups(lower, upper):
+    """The memo key of the box [lower, upper]; ValueError if their lengths differ."""
+    return _node_groups(Counter(zip(lower, upper, strict=True)))
 
 
 def _node_groups(bounds):
     """The memo key of a {(lo, hi): nodes} multiset: (lo, hi, nodes) triples,
     smallest bounds first, without the nodes held at degree 0."""
-    return tuple(sorted((lo, hi, c) for (lo, hi), c in bounds.items() if hi > 0))
+    return tuple(sorted((lo, hi, c) for (lo, hi), c in bounds.items() if hi != 0))
+
+
+def _count(groups, m):
+    """Graphs on the nodes of ``groups`` with m edges (any if None)."""
+    first, w = _profile(groups)
+    return sum(w) if m is None else (w[m - first] if first <= m < first + len(w) else 0)
 
 
 @lru_cache(maxsize=None)
-def _count_nodes(groups, s):
-    """Graphs on the nodes of ``groups`` with degree sum s (any if None)."""
-    if s is not None and not sum(lo * c for lo, _, c in groups) <= s <= sum(hi * c for _, hi, c in groups):
-        return 0
+def _profile(groups):
+    """(first, w): w[j] graphs on the nodes of ``groups`` have first + j
+    edges, w nonzero at both ends.  An elimination of degree k shifts its
+    child's profile by k: each edge counts at the endpoint eliminated first."""
     if not groups:
-        return 1
-    total = 0
+        return 0, (1,)
+    out = {}
     for k, _, ways, child in _eliminations(groups):
-        total += ways * _count_nodes(child, None if s is None else s - 2 * k)
-    return total
+        first, w = _profile(child)
+        for j, x in enumerate(w, first + k):
+            out[j] = out.get(j, 0) + ways * x
+    first = min(out, default=0)
+    return first, tuple(out.get(j, 0) for j in range(first, max(out, default=-1) + 1))
 
 
 def _eliminations(groups):
@@ -377,24 +393,22 @@ def graph_of_rank(lower, upper, m, r):
     """The r-th graph of G(l,u), or of G_m(l,u) given m, in the order of the
     ``count_interval`` recursion; IndexError unless 0 <= r < the count.
 
-    Each node bound (lo, hi) keeps a bucket of node labels.  At each
-    state r picks an elimination by the cumulative counts of the
-    eliminations; the rest of r splits by divmod into the child's rank and
-    an index below ``ways``, which picks by mixed radix one subset of each
-    group's labels (lexicographic rank).  So a uniform r gives a uniform
-    graph."""
-    groups = _node_groups(Counter(zip(lower, upper)))
-    s = None if m is None else 2 * m
-    if not 0 <= r < _count_nodes(groups, s):
+    Each node bound (lo, hi) keeps a bucket of node labels.  At each state
+    r picks an elimination by the cumulative counts of the eliminations;
+    the rest of r splits by divmod into the child's rank and an index below
+    ``ways``, which picks by mixed radix one subset of each group's labels
+    (lexicographic rank).  So a uniform r gives a uniform graph."""
+    groups = _box_groups(lower, upper)
+    if not 0 <= r < _count(groups, m):
         raise IndexError(f"rank {r} outside G({lower},{upper})" + ("" if m is None else f", m={m}"))
     labels = {}
     for v, key in enumerate(zip(lower, upper)):
         labels.setdefault(key, []).append(v)
     edges = []
     while groups:
-        steps, cum = _walk_steps(groups, s)
+        steps, cum = _walk_steps(groups, m)
         e = bisect.bisect_right(cum, r)
-        pick, child, s, sub = steps[e]
+        pick, child, m, sub = steps[e]
         q, r = divmod(r - (cum[e - 1] if e else 0), sub)
         v = labels[groups[0][:2]].pop()
         moved = {}
@@ -410,14 +424,14 @@ def graph_of_rank(lower, upper, m, r):
 
 
 @lru_cache(maxsize=None)
-def _walk_steps(groups, s):
+def _walk_steps(groups, m):
     """The non-empty eliminations of a state that a walk visits, as (pick,
-    child, child's degree sum, child's count), with the running total of
+    child, child's edges left, child's count), with the running total of
     graphs through each."""
     steps, cum, total = [], [], 0
     for k, pick, ways, child in _eliminations(groups):
-        t = None if s is None else s - 2 * k
-        sub = _count_nodes(child, t)
+        t = None if m is None else m - k
+        sub = _count(child, t)
         if sub:
             total += ways * sub
             steps.append((pick, child, t, sub))

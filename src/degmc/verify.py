@@ -65,22 +65,6 @@ def all_unit_interval_instances(n):
         yield DegreeInterval(tuple(t[0] for t in combo), tuple(t[1] for t in combo))
 
 
-def edge_count_profile(iv, counts_by_degree):
-    """w_m = |G_m(l,u)| for each m, from memoized per-sequence counts."""
-    per_m = {}
-    for d in itertools.product(*[range(a, b + 1) for a, b in zip(iv.lower, iv.upper)]):
-        s = sum(d)
-        if s % 2:
-            continue
-        c = counts_by_degree.get(d, 0)
-        if c:
-            per_m[s // 2] = per_m.get(s // 2, 0) + c
-    if not per_m:
-        return []
-    lo, hi = min(per_m), max(per_m)
-    return [per_m.get(m, 0) for m in range(lo, hi + 1)]
-
-
 def qualifying_sequences(n):
     """Sorted graphical sequences that meet the strong-stability inequality."""
     out = []
@@ -178,7 +162,9 @@ def check_irreducible(iv):
 
 
 def _profile(iv):
-    return edge_count_profile(iv, oracle.degree_class_counts(iv.n))
+    if iv.n > oracle.COUNT_CAP:
+        raise oracle.TooLarge(f"edge-count profiles supported for n <= {oracle.COUNT_CAP}")
+    return oracle.edge_count_profile(iv.lower, iv.upper)
 
 
 def check_logconcave(iv):

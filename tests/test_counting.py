@@ -1,6 +1,7 @@
 """Telescoping count estimation and near-uniform interval sampling."""
 
 import math
+import typing
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from degmc import oracle
 from degmc.chains import make_rng
 from degmc.counting import (
+    Ladder,
     OddResidue,
     ZeroHits,
     build_ladder,
@@ -72,12 +74,16 @@ class TestExactCounts:
     )
     def test_matches_census_n7(self, lower, upper):
         """On 7-node boxes the counts equal sums of census class sizes, with
-        m free and at every m from -1 to 22 (outside the box at both ends)."""
+        m free and at every m from -1 to 22 (outside the box at both ends),
+        and so does the profile between its first and last nonzero m."""
         iv = DegreeInterval(lower, upper)
         classes = [(d, c) for d, c in oracle.degree_class_counts(7).items() if iv.contains(d)]
         assert exact_interval_count(iv) == sum(c for _, c in classes)
-        for m in range(-1, 23):
-            assert exact_interval_count(iv, m) == sum(c for d, c in classes if sum(d) == 2 * m)
+        per_m = [sum(c for d, c in classes if sum(d) == 2 * m) for m in range(-1, 23)]
+        for m, want in zip(range(-1, 23), per_m):
+            assert exact_interval_count(iv, m) == want
+        nonzero = [i for i, x in enumerate(per_m) if x]
+        assert oracle.edge_count_profile(lower, upper) == per_m[nonzero[0] : nonzero[-1] + 1]
 
     def test_fails_fast_above_cap(self, monkeypatch):
         """Above the count recursion's cap, exact counts and the exact
@@ -134,6 +140,9 @@ class TestLadder:
     def test_infeasible(self):
         with pytest.raises(Infeasible):
             build_ladder(IV5, 1)
+
+    def test_type_hints_resolve(self):
+        assert typing.get_type_hints(Ladder)["interval"] is DegreeInterval
 
 
 class TestRatioEstimation:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -184,6 +185,14 @@ class TestEnumeration:
             assert np.all(deg.sum(axis=1) == 2 * m)
         want = count_realizations(d) if d is not None else exact_interval_count(iv, m)
         assert len(masks) == want
+        if iv == IV8:
+            # the profile, from the 8 edges of a 2-regular graph on, is the
+            # histogram of the enumeration's edge counts
+            w = dict(enumerate(oracle.edge_count_profile(iv.lower, iv.upper), 8))
+            if m is None:
+                assert w == Counter((deg.sum(axis=1) // 2).tolist())
+            else:
+                assert w.get(m, 0) == len(masks)
         if iv is not None and iv.upper == (7,) * 8:
             assert want == math.comb(28, 3)
 
@@ -239,6 +248,7 @@ class TestCounting:
         assert count_realizations((3,) * 6) == 70  # complement symmetry
         assert count_realizations((1, 1, 1)) == 0  # odd sum
         assert count_realizations((3, 1, 1, 1)) == 1  # star
+        assert count_realizations((1, 1, -1)) == 0  # negative entry
 
     def test_matches_census_exhaustively_n5(self):
         for d, c in degree_class_counts(5).items():
@@ -267,6 +277,17 @@ class TestCounting:
     def test_cap(self):
         with pytest.raises(TooLarge):
             count_realizations((1,) * 13)
+
+    def test_mismatched_bound_lengths(self):
+        """Bounds of unequal lengths are refused, not cut to the shorter."""
+        for call in (
+            lambda: oracle.count_interval((1, 1, 5), (1, 1)),
+            lambda: oracle.count_interval((1, 1), (1, 1, 5), 1),
+            lambda: oracle.edge_count_profile((1, 1, 5), (1, 1)),
+            lambda: graph_of_rank((1, 1, 5), (1, 1), None, 0),
+        ):
+            with pytest.raises(ValueError):
+                call()
 
 
 class TestMatrices:
@@ -606,6 +627,21 @@ class TestLogConcavity:
         assert not ok and where == 1
         with pytest.raises(ValueError):
             verify_log_concave([1, -1, 1])
+
+    @pytest.mark.parametrize("lo, n", [(2, 8), (3, 12)])
+    def test_profiles_past_the_census(self, lo, n):
+        """Profiles come from the count recursion, so the log-concavity and
+        congestion checks run on boxes the n <= 7 census does not hold."""
+        iv = DegreeInterval((lo,) * n, (lo + 1,) * n)
+        for check in (verify.check_logconcave, verify.check_congestion):
+            records = check(iv)
+            assert len(records) == 1 and records[0]["pass"]
+
+    def test_profile_cap(self):
+        iv = DegreeInterval((2,) * 13, (3,) * 13)
+        for check in (verify.check_logconcave, verify.check_congestion):
+            with pytest.raises(TooLarge):
+                check(iv)
 
 
 class TestMartinRandall:
