@@ -20,7 +20,7 @@ which keeps the transition rows exactly enumerable.  The pure move
 functions are kept only for ``oracle.transition_row_reference``, the
 independent cross-check.
 
-Stream layout (``RNG_LAYOUT`` 3): every step consumes one row of ``ROW``
+Stream layout (``RNG_LAYOUT`` 4): every step consumes one row of ``ROW``
 doubles from ``rng.random``, whether it holds or moves.  The row is u, which
 picks hold or a move, then four node draws x, of which a move reads its
 first ``arity``; node label floor(x * n).  ``run_with_rng`` draws blocks of
@@ -30,9 +30,10 @@ through ``_decode``, so a run of s steps is draw for draw s calls of
 ``rng.random()`` and the labels by one ``rng.integers(0, n, size=arity)``
 call.  Labels come from floats because numpy fills bounded 32-bit integers
 from a per-call buffer, so a block call and per-step calls would drift
-apart.  Layout 3 keeps layout 2's chain rows; what changed is
-``counting.sample_interval``, which draws one uniform rank from raw 64-bit
-words (``_below``) and unranks it through the count recursion.
+apart.  Layouts 3 and 4 keep layout 2's chain rows.  Layout 3 changed
+``counting.sample_interval`` (one uniform rank from raw 64-bit words,
+unranked through the count recursion), layout 4 ``counting.estimate_ratio``
+(one ``rng.binomial`` hit count per rung, not a gather of uniform indices).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .graphs import DegreeInterval, Graph, _norm_edge
 
-RNG_LAYOUT = 3  # version of the stream layout below; the sample manifest records it
+RNG_LAYOUT = 4  # version of the stream layout below; the sample manifest records it
 ROW = 5  # doubles per step: u, then four node draws
 BLOCK = 4096  # rows per rng.random call in run_with_rng
 

@@ -126,6 +126,8 @@ def _resolve(args):
         args.chain = args.chain or _env_default("CHAIN", str, "interval")
     if hasattr(args, "steps") and args.steps < 0:
         raise ParseError("steps must be non-negative")
+    if hasattr(args, "count") and args.count < 0:
+        raise ParseError("count must be non-negative")
     return args
 
 
@@ -164,7 +166,10 @@ def cmd_ingest(args):
             if not (0 <= i < g.n):
                 raise ParseError(f"{args.missing}:{lineno}: node {i} out of range", lineno)
             missing[i] = k
-    iv = intervals_from_observation(g, missing)
+    try:
+        iv = intervals_from_observation(g, missing)
+    except ValueError as e:
+        raise ParseError(f"{args.missing}: {e}")
     if args.output:
         write_intervals(args.output, iv)
     else:

@@ -1,14 +1,15 @@
 """Approximate counting and exactly uniform sampling for degree intervals.
 
-Counting telescopes over a ladder of tightening lower bounds: the target
-class is written as an exactly countable single-sequence class times a
-product of membership ratios, each ratio estimated by uniform sampling
-from the enclosing class.  Sampling walks down the exact count (Jerrum,
-Valiant and Vazirani): a uniform integer below |G(l,u)| is unranked by
-``oracle.graph_of_rank`` through the same node-elimination recursion that
-counts, so each draw is exactly uniform up to ``oracle.COUNT_CAP`` nodes.
-``sample_realization`` does the same on the box l = u = d and runs the
-switch chain above the cap.
+Every exact number comes from the node-elimination recursion through one
+memoized entry point, ``exact_interval_count``, capped at ``oracle.COUNT_CAP``
+nodes.  Counting telescopes over a ladder of tightening lower bounds (Jerrum,
+Valiant and Vazirani): rung k's class is G_m(a^k, u), the last one is the
+single-sequence class G(a^p), and each ratio |C_{k+1}| / |C_k| is estimated
+from N exactly uniform draws out of C_k, whose hit count is drawn by its
+exact law, Binomial(N, ratio).  Sampling unranks a uniform integer below
+|G(l,u)| through the same recursion (``oracle.graph_of_rank``);
+``sample_realization`` does so on the box l = u = d and runs the switch
+chain above the cap.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .graphs import DegreeInterval, Infeasible, realize, _feasible_sequence
 from .chains import SwitchKernel, make_rng, run_with_rng
@@ -107,17 +106,16 @@ def ratio_sample_size(num_ratios, eps, delta, q_hat):
     return int(math.ceil(p * p * q_hat * math.log(2.0 * p / delta) / (eps * eps)))
 
 
-def estimate_ratio(member_mask, n_samples, rng, max_retries=3):
-    """Fraction of uniform draws landing in the subclass.
+def estimate_ratio(ratio, n_samples, rng, max_retries=3):
+    """Fraction of n_samples uniform draws from a class that land in a
+    subclass holding the share ``ratio`` of it, and the draws used.
 
-    Draws uniform indices into the enclosing class and evaluates the
-    membership mask at each.  Doubles the sample size on an all-miss
-    outcome, raising ZeroHits after max_retries."""
-    size = len(member_mask)
+    The hit count is drawn by its exact law, Binomial(n_samples, ratio).
+    Doubles the sample size on an all-miss outcome, raising ZeroHits after
+    max_retries."""
     n = n_samples
     for _ in range(max_retries + 1):
-        idx = rng.integers(0, size, size=n)
-        hits = int(np.count_nonzero(member_mask[idx]))
+        hits = int(rng.binomial(n, ratio))
         if hits > 0:
             return hits / n, n
         n *= 2
@@ -157,17 +155,6 @@ class CountEstimate:
         return json.dumps(self.to_dict())
 
 
-def _log_final_count(d):
-    """log |G(d)| for the pinned final rung: exact at desk scale, the
-    asymptotic estimate beyond the recursion cap."""
-    if len(d) <= oracle.COUNT_CAP:
-        c = oracle.count_realizations(d)
-        return (math.log(c) if c > 0 else -math.inf), "exact"
-    from .weights import lw_log_weight
-
-    return lw_log_weight(d), "asymptotic"
-
-
 def estimate_count_m(iv, m, eps, delta, rng=None, seed=None):
     """(eps, delta)-estimate of |G_m(l,u)| by telescoping membership ratios."""
     if rng is None:
@@ -176,28 +163,20 @@ def estimate_count_m(iv, m, eps, delta, rng=None, seed=None):
         ladder = build_ladder(iv, m)
     except Infeasible:
         return CountEstimate(-math.inf, eps, delta, method="infeasible")
-    log_final, final_method = _log_final_count(ladder.final_sequence)
+    # rung k's class is G_m(a^k, u); the last, whose lower bounds sum to 2m,
+    # is the single-sequence class G(a^p)
+    sizes = [exact_interval_count(DegreeInterval(a, iv.upper), m) for a in ladder.rungs]
+    log_est = math.log(sizes[-1])
     if ladder.num_ratios == 0:
-        return CountEstimate(log_final, eps, delta, method=final_method)
-
-    # every rung's class is the rows of G_m(l,u) with degrees >= its lower
-    # bounds; enumeration is in ascending mask order, so each class is in
-    # the order its own enumeration would give
-    deg = oracle.enumerate_graphs(iv.n, interval=iv, m=m).degrees()
-    classes = [np.all(deg >= np.asarray(a), axis=1) for a in ladder.rungs]
+        return CountEstimate(log_est, eps, delta, method="exact")
 
     # worst exact inverse ratio calibrates the sample size
-    sizes = [int(np.count_nonzero(c)) for c in classes]
-    if sizes[-1] == 0:
-        return CountEstimate(-math.inf, eps, delta, method="infeasible")
-    q_hat = max(sizes[k] / sizes[k + 1] for k in range(len(sizes) - 1))
+    q_hat = max(a / b for a, b in zip(sizes, sizes[1:]))
     n_per = ratio_sample_size(ladder.num_ratios, eps, delta, q_hat)
-
-    log_est = log_final
     ratios = []
     used = 0
-    for k in range(ladder.num_ratios):
-        r, n_used = estimate_ratio(classes[k + 1][classes[k]], n_per, rng)
+    for a, b in zip(sizes, sizes[1:]):
+        r, n_used = estimate_ratio(b / a, n_per, rng)
         ratios.append(r)
         used += n_used
         log_est -= math.log(r)
@@ -205,7 +184,7 @@ def estimate_count_m(iv, m, eps, delta, rng=None, seed=None):
         log_value=log_est,
         eps=eps,
         delta=delta,
-        method=f"ladder+{final_method}",
+        method="ladder+exact",
         samples_used=used,
         ladder_length=ladder.num_ratios,
         per_rung_ratios=tuple(ratios),
@@ -258,6 +237,15 @@ def _below(total, rng):
             return r
 
 
+def _uniform_graph(lower, upper, rng):
+    """An exactly uniform draw from G(l,u): a uniform rank below the exact
+    count (memoized across draws), unranked through the same recursion."""
+    total = _exact_interval_count_cached(lower, upper, None)
+    if total == 0:
+        raise Infeasible(f"no graph has degrees between {lower} and {upper}")
+    return oracle.graph_of_rank(lower, upper, None, _below(total, rng))
+
+
 def sample_realization(d, rng):
     """Uniform draw from G(d) up to ``EXACT_SAMPLE_CAP`` nodes (a uniform
     rank unranked through the count recursion), near-uniform (switch chain)
@@ -265,21 +253,14 @@ def sample_realization(d, rng):
     d = tuple(int(x) for x in d)
     n = len(d)
     if n <= EXACT_SAMPLE_CAP:
-        total = oracle.count_realizations(d)
-        if total == 0:
-            raise Infeasible(f"{d} is not graphical")
-        return oracle.graph_of_rank(d, d, None, _below(total, rng))
+        return _uniform_graph(d, d, rng)
     g0 = realize(d)
     return run_with_rng(SwitchKernel(d=d), g0, 20 * n * n * sum(d), rng)
 
 
 def sample_interval(iv, rng=None, seed=None):
-    """An exactly uniform draw from G(l,u): a uniform rank below the exact
-    count (memoized across draws), unranked through the same recursion.
-    Raises TooLarge above ``oracle.COUNT_CAP`` nodes."""
+    """An exactly uniform draw from G(l,u); raises TooLarge above
+    ``oracle.COUNT_CAP`` nodes."""
     if rng is None:
         rng = make_rng(0 if seed is None else seed)
-    total = exact_interval_count(iv)
-    if total == 0:
-        raise Infeasible("interval contains no graph")
-    return oracle.graph_of_rank(iv.lower, iv.upper, None, _below(total, rng))
+    return _uniform_graph(iv.lower, iv.upper, rng)

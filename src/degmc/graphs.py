@@ -383,7 +383,10 @@ def read_intervals(path):
         raise ParseError(f"{path}: node ids must be exactly 0..{n - 1}")
     lower = tuple(rows[i][0] for i in range(n))
     upper = tuple(rows[i][1] for i in range(n))
-    return DegreeInterval(lower, upper)
+    try:
+        return DegreeInterval(lower, upper)
+    except ValueError as e:
+        raise ParseError(f"{path}: {e}")
 
 
 def write_intervals(path, iv):

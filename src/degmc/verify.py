@@ -55,14 +55,20 @@ def near_regular_sequences(n):
 
 
 def all_unit_interval_instances(n):
-    """Every interval multiset with u_i in {l_i, l_i + 1}."""
+    """Every interval multiset with u_i in {l_i, l_i + 1}, lazily.  There are
+    C(3n - 2, n) of them (about 2.0M at n = 9), so TooLarge, raised at the
+    call, above ``oracle.ENUMERATION_CAP`` nodes."""
+    if n > oracle.ENUMERATION_CAP:
+        raise oracle.TooLarge(f"unit-interval instances listed for n <= {oracle.ENUMERATION_CAP}")
     types = []
     for lo in range(n):
         types.append((lo, lo))
         if lo + 1 <= n - 1:
             types.append((lo, lo + 1))
-    for combo in itertools.combinations_with_replacement(types, n):
-        yield DegreeInterval(tuple(t[0] for t in combo), tuple(t[1] for t in combo))
+    return (
+        DegreeInterval(tuple(t[0] for t in combo), tuple(t[1] for t in combo))
+        for combo in itertools.combinations_with_replacement(types, n)
+    )
 
 
 def qualifying_sequences(n):
@@ -359,6 +365,8 @@ SUITES = {
 
 
 def run(name, sizes):
-    """The records of a suite over every instance at each n in sizes."""
+    """The records of a suite over every instance at each n in sizes; every
+    n's instances are taken first, so a family's cap ends the run at once."""
     suite = SUITES[name]
-    return [rec for n in sizes for x in suite.instances(n) for rec in suite.check(x)]
+    families = [suite.instances(n) for n in sizes]
+    return [rec for xs in families for x in xs for rec in suite.check(x)]

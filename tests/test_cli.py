@@ -56,8 +56,10 @@ class TestIngest:
 
     def test_malformed_line(self, triangle, tmp_path):
         miss = tmp_path / "miss.txt"
-        miss.write_text("0 0\nnot a line\n")
-        assert main(["ingest", triangle, str(miss)]) == EXIT_PARSE
+        # a line that is not 'i k_i', a negative count, a count past n - 1
+        for text in ("0 0\nnot a line\n", "0 -1\n", "0 1\n"):
+            miss.write_text(text)
+            assert main(["ingest", triangle, str(miss)]) == EXIT_PARSE
 
     def test_roundtrip_sample_within_intervals(self, triangle, tmp_path):
         miss = tmp_path / "miss.txt"
@@ -74,6 +76,17 @@ class TestIngest:
         for k in range(5):
             g = read_edge_list(f"{base}_{k:04d}.edges", n=3)
             assert iv.contains_graph(g)
+
+
+@pytest.mark.parametrize("command", [["count"], ["sample"], ["ladder", "--m", "1"], ["analyze"]],
+                         ids=["count", "sample", "ladder", "analyze"])
+def test_malformed_bounds(tmp_path, capsys, command):
+    """lo > hi, a negative bound or hi > n - 1 is a parse error naming the file."""
+    p = tmp_path / "iv.txt"
+    for text in ("0 3 1\n1 0 2\n2 0 2\n3 0 2\n", "0 -1 1\n1 0 1\n", "0 0 2\n1 0 1\n"):
+        p.write_text(text)
+        assert main([command[0], str(p), *command[1:]]) == EXIT_PARSE
+        assert str(p) in capsys.readouterr().err
 
 
 class TestSample:
@@ -101,7 +114,7 @@ class TestSample:
         man = json.load(open(f"{b1}_manifest.json"))
         assert man["seed"] == 4 and man["chain"] == "interval" and man["steps"] == 100
         assert "instance_hash" in man and len(man["files"]) == 2
-        assert man["rng_layout"] == RNG_LAYOUT == 3
+        assert man["rng_layout"] == RNG_LAYOUT == 4
 
     def test_switch_needs_constant_interval(self, iv5):
         assert main(["sample", iv5, "--chain", "switch", "--steps", "10"]) == EXIT_INFEASIBLE
@@ -113,6 +126,11 @@ class TestSample:
         p = tmp_path / "iv.txt"
         p.write_text("0 0 0\n1 0 0\n2 2 2\n")
         assert main(["sample", str(p), "--chain", "interval"]) == EXIT_INFEASIBLE
+
+    def test_negative_count(self, iv5, tmp_path):
+        base = tmp_path / "neg"
+        assert main(["sample", iv5, "--count", "-2", "--output", str(base)]) == EXIT_PARSE
+        assert not (tmp_path / "neg_manifest.json").exists()
 
 
 class TestCount:
@@ -152,9 +170,20 @@ class TestCount:
         assert main(["count", iv5, "--eps", "1.5"]) == EXIT_PARSE
 
     def test_beyond_enumeration_cap(self, tmp_path, capsys):
+        """[2,3]^9 has no enumeration; its rung classes are counted by the
+        recursion."""
         p = tmp_path / "iv.txt"
         p.write_text("".join(f"{i} 2 3\n" for i in range(9)))
-        assert main(["count", str(p), "--seed", "0"]) == EXIT_TOO_LARGE
+        assert main(["count", str(p), "--seed", "0"]) == EXIT_OK
+        rec = json.loads(capsys.readouterr().out)
+        exact = exact_interval_count(read_intervals(p))
+        assert abs(rec["log_value"] - math.log(exact)) <= rec["eps"]
+
+    @pytest.mark.parametrize("m", [[], ["--m", "13"]], ids=["m-free", "m-13"])
+    def test_beyond_count_cap(self, tmp_path, capsys, m):
+        p = tmp_path / "iv.txt"
+        p.write_text("".join(f"{i} 2 3\n" for i in range(13)))
+        assert main(["count", str(p), "--seed", "0", *m]) == EXIT_TOO_LARGE
         assert "too large" in capsys.readouterr().err
 
     def test_no_subclass_hits(self, iv5, monkeypatch, capsys):
@@ -252,6 +281,13 @@ class TestVerify:
         assert {f"d={(r,) * 12}" for r in (2, 3)} <= {c["instance"] for c in rec["checks"]}
         # the count recursion stops at oracle.COUNT_CAP = 12 nodes
         assert main(["verify", "formula", "--n", "13"]) == EXIT_TOO_LARGE
+        assert "too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["logconcave", "congestion"])
+    def test_unit_family_cap(self, suite, capsys):
+        """The unit-interval family has about 2.0M members at n = 9: --n 9
+        exits 4 before checking any n."""
+        assert main(["verify", suite, "--n", "9"]) == EXIT_TOO_LARGE
         assert "too large" in capsys.readouterr().err
 
     def test_sbound_suite_passes(self, capsys):

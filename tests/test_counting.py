@@ -125,17 +125,21 @@ class TestLadder:
         assert sum(deltas) == 6 - 5
 
     def test_subset_chain(self):
-        """Tightening the lower bound only shrinks the class."""
-        ladder = build_ladder(IV5, 6)
-        prev = None
-        for a in ladder.rungs:
-            size = len(
-                oracle.enumerate_graphs(5, interval=DegreeInterval(a, IV5.upper), m=6)
-            )
-            if prev is not None:
-                assert size <= prev
-            prev = size
-        assert prev == oracle.count_realizations(ladder.final_sequence)
+        """Tightening the lower bound only shrinks the class, and every rung's
+        class G_m(a, u), which the estimator counts by the recursion, has
+        the size its enumeration has, on IV5 and [2,3]^8 at every feasible m."""
+        for iv in (IV5, DegreeInterval((2,) * 8, (3,) * 8)):
+            for m in feasible_edge_counts(iv):
+                ladder = build_ladder(iv, m)
+                prev = None
+                for a in ladder.rungs:
+                    rung = DegreeInterval(a, iv.upper)
+                    size = len(oracle.enumerate_graphs(iv.n, interval=rung, m=m))
+                    assert exact_interval_count(rung, m) == size
+                    if prev is not None:
+                        assert size <= prev
+                    prev = size
+                assert prev == oracle.count_realizations(ladder.final_sequence)
 
     def test_infeasible(self):
         with pytest.raises(Infeasible):
@@ -148,23 +152,18 @@ class TestLadder:
 class TestRatioEstimation:
     def test_unbiased_on_known_mask(self):
         rng = make_rng(0)
-        mask = np.zeros(1000, dtype=bool)
-        mask[:250] = True
-        r, used = estimate_ratio(mask, 20000, rng)
+        r, used = estimate_ratio(0.25, 20000, rng)
         assert r == pytest.approx(0.25, abs=0.02)
         assert used == 20000
 
     def test_zero_hits(self):
         rng = make_rng(0)
-        mask = np.zeros(100, dtype=bool)
         with pytest.raises(ZeroHits):
-            estimate_ratio(mask, 10, rng, max_retries=2)
+            estimate_ratio(0.0, 10, rng, max_retries=2)
 
     def test_retry_doubles(self):
         rng = make_rng(12)
-        mask = np.zeros(10000, dtype=bool)
-        mask[0] = True
-        r, used = estimate_ratio(mask, 1, rng, max_retries=20)
+        r, used = estimate_ratio(1e-4, 1, rng, max_retries=20)
         assert r > 0 and used > 1
 
     def test_sample_size_scaling(self):

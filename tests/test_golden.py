@@ -14,7 +14,7 @@ from degmc.cli import EXIT_OK, main
 from degmc.counting import estimate_count, sample_interval, sample_realization
 from degmc.graphs import DegreeInterval, write_edge_list
 
-LAYOUT = 3
+LAYOUT = 4
 SAMPLE = {
     "switch": ("9f1d8ee53cf08e8b1e4807dda33ef517c61b5e389e36a3b25b1151711d134f1a",
                "9b53865bf25a3457cb5172b695fb5f596bce124122d33dcc6a95b4daaeba0200"),
@@ -26,7 +26,7 @@ SAMPLE = {
 DRAW = {6: "530267513b6eb26b3f48cd0a594843a8a0572e35014b1a258b28418bc980db27",
         9: "f2fc61bf77d9ad55d1ece9a58e8dd8002beeffc327211ec6ac51b2bee54abe75"}
 CHAIN = "25d656648cca61121f87bb74dd5b56d7a06d18085ddcb8b69bfff8b7b64ae9df"
-ESTIMATE = "98be5d6ece23dff8e3c7734fecd962cd87886f9c9ddec252a03cf71c3cd750aa"
+ESTIMATE = "ae20888aa4bd653f2b611618fb6c0db07323d1ea3d9e3aa0dc28ceea68e3c199"
 
 
 def sha(path):

@@ -241,3 +241,8 @@ class TestFiles:
         p.write_text("0 1 2\n2 1 2\n")
         with pytest.raises(ParseError):
             read_intervals(p)
+        # bounds DegreeInterval refuses: lo > hi, a negative bound, hi > n - 1
+        for text in ("0 3 1\n1 0 2\n2 0 2\n3 0 2\n", "0 -1 1\n1 0 1\n", "0 0 2\n1 0 1\n"):
+            p.write_text(text)
+            with pytest.raises(ParseError, match=str(p)):
+                read_intervals(p)
