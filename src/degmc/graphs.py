@@ -226,28 +226,40 @@ def realize(d):
     """Havel-Hakimi construction of a graph with degree sequence d.
 
     Ties broken by (residual degree desc, index asc), so the output is
-    deterministic.
+    deterministic.  Nodes wait in one bucket per residual degree, each in
+    index order: a round joins the first node of the top bucket to the
+    next k nodes, taken bucket by bucket downwards, and moves each down
+    one bucket, so no round sorts all n nodes.
     """
     d = [int(x) for x in d]
     if not is_graphical(d):
         raise NotGraphical(f"degree sequence {tuple(d)} is not graphical")
-    n = len(d)
-    residual = list(d)
+    buckets = [[] for _ in range(max(d, default=0) + 1)]
+    for v, k in enumerate(d):
+        buckets[k].append(v)
     edges = set()
+    top = len(buckets) - 1
     while True:
-        order = sorted(range(n), key=lambda i: (-residual[i], i))
-        v = order[0]
-        k = residual[v]
-        if k == 0:
+        while top and not buckets[top]:
+            top -= 1
+        if not top:
             break
-        residual[v] = 0
-        targets = [u for u in order[1:] if residual[u] > 0][:k]
-        if len(targets) < k:
+        v = buckets[top].pop(0)
+        taken, need = [], top
+        for r in range(top, 0, -1):
+            take = buckets[r][:need]
+            del buckets[r][:need]
+            taken.append((r, take))
+            need -= len(take)
+            if not need:
+                break
+        if need:
             raise NotGraphical(f"degree sequence {tuple(d)} is not graphical")
-        for u in targets:
-            edges.add(_norm_edge(v, u))
-            residual[u] -= 1
-    return Graph(n, frozenset(edges))
+        for r, take in taken:
+            edges.update(_norm_edge(v, u) for u in take)
+            if r > 1:
+                buckets[r - 1] = sorted(buckets[r - 1] + take)
+    return Graph(len(d), frozenset(edges))
 
 
 def _feasible_sequence(iv, m):

@@ -1,16 +1,17 @@
 """Exact desk-scale ground truth for the chains and counting machinery.
 
 Everything here is exhaustive or exact: state spaces are enumerated as edge
-bitmasks, transition matrices and state-graph components are built from
-toggle bit patterns that ``_toggles`` reads off the chains' own in-place
-moves (``chains.MOVES``), vectorized over the states, and counts come from
-an independent node-elimination recursion, memoized on the multiset of
-degree bounds alone (``_profile``), whose value is the edge-count profile:
-|G(d)|, |G(l,u)|, |G_m(l,u)| and the profile (``edge_count_profile``) are
-one computation.  ``graph_of_rank`` walks the same eliminations down the
-counts to the r-th graph, which is what the exact sampler draws.  All of it
-is meant for small n (enumeration is capped at n = 8, the count recursion
-at ``COUNT_CAP``) and is used to verify the provable properties of the
+bitmasks, transition matrices and state-graph components are read off one
+cached change table per move table (``_change_table``, from the toggle bit
+patterns that ``_toggles`` reads off the chains' own in-place moves,
+``chains.MOVES``), and counts come from an independent node-elimination
+recursion, memoized on the multiset of degree bounds alone (``_profile``),
+whose value is the edge-count profile: |G(d)|, |G(l,u)|, |G_m(l,u)| and
+the profile (``edge_count_profile``) are one computation.
+``graph_of_rank`` walks the same eliminations down the counts to the r-th
+graph, which is what the exact sampler draws.  All of it is meant for
+small n (enumeration is capped at n = 8, the count recursion at
+``COUNT_CAP``) and is used to verify the provable properties of the
 samplers.
 
 Up to n = 7 every graph is in the cached ``census``, grouped by degree
@@ -21,6 +22,14 @@ sizes, neither touching a mask outside its answer.  At n = 8 the census
 neighbourhood S, selects the n = 7 classes of the rest of the box and
 shifts them past S's bits, so every space at every n is read from census
 classes.
+
+``build_matrix`` and ``state_graph_components`` make one blocked pass over
+the states and the change table (``_matches``): each block compares its
+states' masks with every change's pattern at once, in at most
+``_BLOCK_CELLS`` cells, and finds each target's row by rank in a bitmap of
+the space (``_ranker``).  The table runs by ascending mask difference and
+includes the hold, so the matrix's entries come out row by row with
+ascending columns, and its CSR is assembled without a sort.
 
 Transition matrices are CSR at every size.  ``spectral_gap`` and
 ``tv_curve`` take them, or a dense array, in one form chosen by size alone
@@ -488,54 +497,55 @@ def transition_row_reference(kernel, g):
 def build_matrix(kernel, space):
     """Exact single-step transition matrix of the kernel over the space.
 
-    One vectorized pass over the state masks per toggle mask of each move
-    (``_toggles``): a state whose bits under the mask equal a moves to the
-    state with b there whenever the target's degrees stay in
-    kernel.interval, with probability (attempt probability) * (ordered
-    tuples firing it) / n^arity.  Moves go in ``chains.MOVES`` order.  CSR
-    at every size; callers that index it densely go through _as_dense.
-    Raises Mismatch if a state violates the kernel's constraints or a legal
-    move leaves the space.
+    One blocked pass (``_matches``) over the kernel's change table
+    (``_change_table``): a state whose bits under a change's toggle mask
+    equal a moves to the state with b there whenever the degree cells the
+    change needs are open in it (``_open_cells``), i.e. the target's degrees
+    stay in kernel.interval, with probability (attempt probability) *
+    (ordered tuples firing it) / n^arity.  Targets are found by rank in a
+    bitmap of the space (``_ranker``).  The diagonal is 1 minus the row's
+    other entries, subtracted one at a time, move by move in
+    ``chains.MOVES`` order (within a move every change has the same
+    weight).  CSR at every size, assembled without a sort (module docstring).
+    Callers that index it densely go through _as_dense.  Raises Mismatch if
+    a state violates the kernel's constraints or a legal move leaves the
+    space.
     """
     n, masks, size = kernel.n, space.masks, len(space)
     if space.n != n:
         raise Mismatch(f"space has n={space.n}, kernel has n={n}")
     lo, hi = np.array(kernel.interval.lower), np.array(kernel.interval.upper)
-    deg = space.degrees().astype(np.int64)
+    deg = space.degrees()
     ok = np.all((lo <= deg) & (deg <= hi), axis=1)
     if hasattr(kernel, "m"):
         ok &= _popcount(masks) == kernel.m
     if not ok.all():
         raise Mismatch(f"state {int(np.argmin(ok))} violates the kernel constraints")
-    probs = kernel.move_probabilities()
-    nm = node_bit_masks(n)
+    ch = _change_table(n, tuple(kernel.move_probabilities().items()))
+    rows_of = _ranker(masks, n)
+    # a state's key carries its open degree cells below its mask, so one
+    # comparison tests a change's pattern and the cells it needs together
+    keys = masks << 2 * n | _open_cells(deg, lo, hi)
+    select, value = ch.toggle << 2 * n | ch.need, ch.before << 2 * n | ch.need
     diag = np.ones(size)
-    rows, cols, vals = [np.arange(size)], [np.arange(size)], [diag]
-    for move, (_, arity) in MOVES.items():
-        if move not in probs:
-            continue
-        for t, changes in _toggles(n, move):
-            t64 = np.int64(t)
-            under = masks & t64
-            for a, b, tuples in changes:
-                w = probs[move] * tuples / n**arity
-                src = np.flatnonzero(under == a)
-                for v in range(n):
-                    dv = (b & nm[v]).bit_count() - (a & nm[v]).bit_count()
-                    if dv:
-                        src = src[(lo[v] <= deg[src, v] + dv) & (deg[src, v] + dv <= hi[v])]
-                target = masks[src] ^ t64
-                dst = np.minimum(np.searchsorted(masks, target), size - 1)
-                missing = masks[dst] != target
-                if missing.any():
-                    raise Mismatch(f"a legal {move} move from state {src[missing][0]} leaves the space")
-                diag[src] -= w
-                rows.append(src)
-                cols.append(dst)
-                vals.append(np.full(len(src), w))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
-    )
+    counts = np.zeros(size, dtype=np.int64)
+    cols, vals = [], []
+    for src, c in _matches(keys, select, value):
+        dst, member = rows_of(masks[src] + ch.delta[c])
+        if not member.all():
+            k = int(np.argmin(member))
+            raise Mismatch(f"a legal {ch.names[ch.move[c[k]]]} move from state {src[k]} leaves the space")
+        w = ch.weight[c]
+        by_move = np.argsort(ch.move[c], kind="stable")
+        np.subtract.at(diag, src[by_move], w[by_move])
+        # a block holds every change of its states, so their diagonals are done
+        hold = dst == src
+        w[hold] = diag[src[hold]]
+        np.add.at(counts, src, 1)
+        cols.append(dst.astype(np.int32))
+        vals.append(w)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr), shape=(size, size))
 
 
 def _as_dense(P):
@@ -655,7 +665,7 @@ def congestion_check(P, pi=None):
     return {"sigma": sigma, "ell": ell, "bound": bound, "gap": gap, "holds": gap >= 1.0 / bound - 1e-12}
 
 
-# --- state-graph connectivity ------------------------------------------------
+# --- the change table ---------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -687,41 +697,134 @@ def _toggles(n, move):
     return tuple((t, tuple((a, b, c) for (a, b), c in group.items())) for t, group in groups.items())
 
 
+class Changes(NamedTuple):
+    """The changes of a move table on n nodes, one row each, by ascending
+    ``delta``.
+
+    A state whose bits under ``toggle`` equal ``before`` moves to its mask
+    plus ``delta`` (those bits flipped) if the degree cells in ``need`` are
+    open in it (``_open_cells``).  The hold, with toggle 0 and delta 0, keeps
+    every state.  Every other change's reverse, with the same toggle mask,
+    is in the table too.  A state's targets ascend with the deltas of the
+    changes it takes, since each target is its mask plus the delta.
+    """
+
+    toggle: np.ndarray  # int64
+    before: np.ndarray  # int64, the bits under toggle in the source
+    delta: np.ndarray  # int64, target mask - source mask (b - a), ascending
+    need: np.ndarray  # int64, bit v if node v loses a degree, bit n + v if it gains one
+    weight: np.ndarray  # attempt probability * ordered tuples / n^arity; 0 for the hold
+    move: np.ndarray  # uint8, index into names
+    names: tuple  # "hold", then the moves in MOVES order
+
+
+@lru_cache(maxsize=None)
+def _change_table(n, probs):
+    """The ``Changes`` of the move table ((move, attempt probability), ...)
+    on n nodes, read from ``_toggles``; ValueError for a name not in MOVES."""
+    probs = dict(probs)
+    unknown = probs.keys() - MOVES.keys()
+    if unknown:
+        raise ValueError(f"unknown moves {sorted(unknown)}; the moves are {list(MOVES)}")
+    nm = node_bit_masks(n)
+    names = ("hold",) + tuple(move for move in MOVES if move in probs)
+    rows = [(0, 0, 0, 0, 0.0, 0)]
+    for k, move in enumerate(names[1:], 1):
+        arity = MOVES[move][1]
+        for t, changes in _toggles(n, move):
+            for a, b, tuples in changes:
+                need = 0
+                for v, x in enumerate(nm):
+                    dv = (b & x).bit_count() - (a & x).bit_count()
+                    if abs(dv) > 1:
+                        raise ValueError(f"a {move} change moves a degree by {dv}")
+                    need |= (dv < 0) << v | (dv > 0) << n + v
+                rows.append((t, a, b - a, need, probs[move] * tuples / n**arity, k))
+    rows.sort(key=lambda row: row[2])
+    t, a, delta, need, w, move = map(np.array, zip(*rows))
+    table = Changes(t, a, delta, need, w, move.astype(np.uint8), names)
+    for col in table[:-1]:
+        col.flags.writeable = False  # the cache hands the same arrays to every caller
+    return table
+
+
+def _open_cells(deg, lo, hi):
+    """Per state, as int64 bits: bit v if node v can lose a degree, bit
+    n + v if it can gain one."""
+    open_ = np.concatenate([deg > lo, deg < hi], axis=1).astype(np.int64)
+    return open_ @ (np.int64(1) << np.arange(open_.shape[1], dtype=np.int64))
+
+
+# temporaries of one block of _matches hold at most this many (state, change) cells
+_BLOCK_CELLS = 1 << 16
+
+
+def _matches(keys, select, value):
+    """(states, changes) where key & select == value, in blocks of states
+    that keep the temporaries under _BLOCK_CELLS, state-major and then in
+    table order within a block.  An empty space is one empty block."""
+    width = max(len(select), 1)
+    step = max(1, _BLOCK_CELLS // width)
+    for s0 in range(0, len(keys) or 1, step):
+        hit = np.flatnonzero((keys[s0 : s0 + step, None] & select) == value)
+        src, c = np.divmod(hit, width)
+        yield src + s0, c
+
+
+def _ranker(masks, n):
+    """A function from masks on n nodes to (their rows in the sorted masks,
+    whether they are members): a bitmap of the members over every mask,
+    with the count of members before each 64-bit word, so a row is a gather
+    and a popcount.  TooLarge above ENUMERATION_CAP nodes (32 MB of bitmap
+    at n = 8)."""
+    if n > ENUMERATION_CAP:
+        raise TooLarge(f"mask bitmaps capped at n={ENUMERATION_CAP}, got n={n}")
+    words = np.zeros(((1 << n * (n - 1) // 2) >> 6) + 1, dtype=np.uint64)
+    np.bitwise_or.at(words, masks >> 6, np.uint64(1) << (masks & 63).astype(np.uint64))
+    before = np.zeros(len(words), dtype=np.int64)
+    np.cumsum(_popcount(words[:-1]), out=before[1:])
+
+    def rows(targets):
+        at, bit = targets >> 6, (targets & 63).astype(np.uint64)
+        word = words[at]
+        below = _popcount(word & ((np.uint64(1) << bit) - np.uint64(1)))
+        return before[at] + below, (word >> bit & np.uint64(1)).astype(bool)
+
+    return rows
+
+
+# --- state-graph connectivity ------------------------------------------------
+
+
 def state_graph_components(space, moves=("switch", "hinge", "add_delete")):
     """Connected components of the chain state graph restricted to the space.
 
     A move is legal iff its structural edge conditions hold and the result
     is again in the space, so membership of both endpoints is the full
-    legality test.  Vectorized over the toggle masks of each move
-    (``_toggles``), one pass per mask for all its changes.
+    legality test.  One blocked pass over the changes with delta > 0 of the
+    moves' change table (``_change_table``): each one's reverse is in the
+    table too, and the adjacency is undirected.  ValueError for a move name
+    not in ``chains.MOVES``.
     """
+    # attempt probabilities only weight the matrix; any will do here
+    ch = _change_table(space.n, tuple((move, 1.0) for move in moves))
     masks = space.masks
     size = len(masks)
     if size == 0:
         return 0, np.array([], dtype=int)
-    rows, cols = [], []
-    for move in moves:
-        for t, changes in _toggles(space.n, move):
-            t64 = np.int64(t)
-            anded = masks & t64
-            sel = anded == changes[0][0]
-            for a, _, _ in changes[1:]:
-                sel |= anded == a
-            src = np.flatnonzero(sel)
-            partner = masks[src] ^ t64
-            pos = np.searchsorted(masks, partner)
-            ok = (pos < size) & (masks[np.minimum(pos, size - 1)] == partner)
-            rows.append(src[ok])
-            cols.append(pos[ok])
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        data = np.ones(len(rows), dtype=np.int8)
-        adj = sp.coo_matrix((data, (rows, cols)), shape=(size, size))
-    else:
-        adj = sp.coo_matrix((size, size), dtype=np.int8)
-    ncomp, labels = csgraph.connected_components(adj, directed=False)
-    return ncomp, labels
+    rows_of = _ranker(masks, space.n)
+    up = ch.delta > 0
+    toggle, before, delta = ch.toggle[up], ch.before[up], ch.delta[up]
+    counts = np.zeros(size, dtype=np.int64)
+    cols = []
+    for src, c in _matches(masks, toggle, before):
+        dst, member = rows_of(masks[src] + delta[c])
+        np.add.at(counts, src[member], 1)
+        cols.append(dst[member].astype(np.int32))
+    cols = np.concatenate(cols)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    adj = sp.csr_matrix((np.ones(len(cols), dtype=np.int8), cols, indptr), shape=(size, size))
+    return csgraph.connected_components(adj, directed=False)
 
 
 # --- alternating paths ------------------------------------------------------

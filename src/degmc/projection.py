@@ -126,6 +126,13 @@ class DegreeSpace:
         return p / p.sum()
 
 
+def _member_log_weight(space):
+    """``space.log_weight`` read from the slice's member table (-inf off
+    it), so the matrices compute each weight once."""
+    table = dict(zip(space.elements(), space.log_weights().tolist()))
+    return lambda d: table.get(d, -math.inf)
+
+
 def _shift(d, i, j):
     """d - e_i + e_j."""
     d = list(d)
@@ -137,15 +144,15 @@ def _shift(d, i, j):
 # --- Metropolis-Hastings single-unit exchange chain --------------------------
 
 
-def _unit_exchange(d, i, j, space):
+def _unit_exchange(d, i, j, log_weight):
     """The exchange of one degree unit from i to j: (d - e_i + e_j, its
     acceptance probability min(1, w(d')/w(d))), or None when i == j or the
-    proposal is not a member."""
+    proposal is not a member (log_weight -inf)."""
     if i == j:
         return None
-    lw = space.log_weight(d)
+    lw = log_weight(d)
     prop = _shift(d, i, j)
-    lw_prop = space.log_weight(prop)
+    lw_prop = log_weight(prop)
     if lw_prop == -math.inf:
         return None
     return prop, math.exp(min(0.0, lw_prop - lw))
@@ -160,7 +167,7 @@ def hinge_projection_step(d, space, rng):
     if rng.random() < 0.5:
         return d
     i, j = rng.integers(0, space.n, size=2)
-    move = _unit_exchange(d, int(i), int(j), space)
+    move = _unit_exchange(d, int(i), int(j), space.log_weight)
     if move is None or rng.random() >= move[1]:
         return d
     return move[0]
@@ -169,10 +176,11 @@ def hinge_projection_step(d, space, rng):
 def hinge_projection_matrix(space):
     """Explicit transition matrix of the lazy single-unit exchange MH chain."""
     elems, idx, n = space.elements(), space.index(), space.n
+    log_weight = _member_log_weight(space)
     P = np.zeros((len(elems), len(elems)))
     for a, d in enumerate(elems):
         for i, j in itertools.product(range(n), repeat=2):
-            move = _unit_exchange(d, i, j, space)
+            move = _unit_exchange(d, i, j, log_weight)
             if move is not None:
                 P[a, idx[move[0]]] += move[1] / (2.0 * n**2)
         P[a, a] = 1.0 - P[a].sum()
@@ -182,15 +190,15 @@ def hinge_projection_matrix(space):
 # --- heat-bath load-exchange chain -------------------------------------------
 
 
-def _heat_bath_row(d, i, space):
+def _heat_bath_row(d, i, n, log_weight):
     """The members dominating d - e_i (d, then each member d - e_i + e_j in
     order of j) and their probabilities, proportional to weight."""
     d = tuple(d)
-    cands, logs = [d], [space.log_weight(d)]
-    for j in range(space.n):
+    cands, logs = [d], [log_weight(d)]
+    for j in range(n):
         if j != i:
             prop = _shift(d, i, j)
-            lw = space.log_weight(prop)
+            lw = log_weight(prop)
             if lw > -math.inf:
                 cands.append(prop)
                 logs.append(lw)
@@ -202,17 +210,18 @@ def _heat_bath_row(d, i, space):
 def load_exchange_step(d, space, rng):
     """One heat-bath step: pick a coordinate i uniformly, then resample the
     state among all members dominating d - e_i, proportionally to weight."""
-    cands, p = _heat_bath_row(d, int(rng.integers(0, space.n)), space)
+    cands, p = _heat_bath_row(d, int(rng.integers(0, space.n)), space.n, space.log_weight)
     return cands[int(rng.choice(len(cands), p=p))]
 
 
 def load_exchange_matrix(space):
     """Explicit transition matrix of the load-exchange chain."""
     elems, idx, n = space.elements(), space.index(), space.n
+    log_weight = _member_log_weight(space)
     P = np.zeros((len(elems), len(elems)))
     for a, d in enumerate(elems):
         for i in range(n):
-            cands, p = _heat_bath_row(d, i, space)
+            cands, p = _heat_bath_row(d, i, n, log_weight)
             for c, pc in zip(cands, p):
                 P[a, idx[c]] += pc / n
     return P

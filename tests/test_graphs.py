@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,36 @@ from degmc.graphs import (
     write_edge_list,
     write_intervals,
 )
+from degmc.projection import feasible_edge_counts
+
+
+def realize_by_sorting(d):
+    """Havel-Hakimi that sorts every node by (residual desc, index asc) each
+    round: the reference for realize's buckets."""
+    n = len(d)
+    residual = list(d)
+    edges = set()
+    while True:
+        order = sorted(range(n), key=lambda i: (-residual[i], i))
+        v = order[0]
+        k = residual[v]
+        if k == 0:
+            return Graph(n, frozenset(edges))
+        residual[v] = 0
+        for u in [u for u in order[1:] if residual[u] > 0][:k]:
+            edges.add((min(u, v), max(u, v)))
+            residual[u] -= 1
+
+
+@st.composite
+def graph_degrees(draw):
+    """The degree sequence of a graph on 1..60 nodes, of any density."""
+    n = draw(st.integers(1, 60))
+    density = draw(st.sampled_from([0.05, 0.2, 0.5, 0.8, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    return [int(x) for x in (upper | upper.T).sum(axis=1)]
 
 
 def brute_force_graphical(d):
@@ -106,6 +137,22 @@ class TestGraphical:
 
     def test_realize_deterministic(self):
         assert realize((2, 2, 1, 1)) == realize((2, 2, 1, 1))
+
+    @given(graph_degrees())
+    @settings(max_examples=300, deadline=None)
+    def test_realize_matches_sorted_rounds(self, d):
+        assert realize(d) == realize_by_sorting(d)
+
+    def test_realize_sample_chain_instance(self):
+        # the n = 300 set-up of the benchmark's sample-chain workload
+        params = NearRegularParams(r=5, alpha=0.4, rho=0.5, n=300)
+        lo, hi = params.degree_range()
+        rng = np.random.default_rng(0)
+        lower = rng.integers(lo, hi, size=300)
+        iv = DegreeInterval(tuple(lower), tuple(lower + rng.integers(0, 2, size=300)))
+        ms = feasible_edge_counts(iv)
+        d = _feasible_sequence(iv, ms[len(ms) // 2])
+        assert realize(d) == realize_by_sorting(d)
 
 
 class TestDegreeInterval:

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.csgraph as csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -525,6 +526,105 @@ class TestToggles:
                     assert (a.bit_count(), b.bit_count()) == bits
                 else:
                     assert sorted((a.bit_count(), b.bit_count())) == [0, 1]
+            # state_graph_components walks only the changes with a < b
+            for _, group in oracle._toggles(n, move):
+                tuples = {(a, b): c for a, b, c in group}
+                assert all(tuples.get((b, a)) == c for (a, b), c in tuples.items())
+
+
+class TestSharedPass:
+    """build_matrix and state_graph_components read one change table in one
+    blocked pass."""
+
+    @staticmethod
+    def kernels():
+        """The kernels of acceptance 1, then all three kernels on [1,3]^6."""
+        for n in range(4, 7):
+            yield from verify.stationarity_chains(n)
+        iv = DegreeInterval((1,) * 6, (3,) * 6)
+        yield DegreeIntervalKernel(iv)
+        for m in projection.feasible_edge_counts(iv):
+            yield SwitchHingeFlipKernel(iv, m)
+        yield SwitchKernel(d=(3, 3, 2, 2, 1, 1))
+
+    def test_components_are_the_matrix_support(self):
+        seen = 0
+        for kernel in self.kernels():
+            space = verify.state_space(kernel)
+            P = oracle.build_matrix(kernel, space)
+            assert P.has_canonical_format
+            off = P - sparse.diags(P.diagonal())
+            off.eliminate_zeros()
+            ncomp, labels = csgraph.connected_components(off, directed=False)
+            got = state_graph_components(space, tuple(kernel.move_probabilities()))
+            assert got[0] == ncomp and np.array_equal(got[1], labels)
+            seen += len(space) > 4096
+        assert seen  # the [1,3]^6 interval chain
+
+    def test_rows_at_block_boundaries(self):
+        iv = DegreeInterval((1,) * 6, (2,) * 6)
+        kernel = DegreeIntervalKernel(iv)
+        space = enumerate_graphs(6, interval=iv)
+        ch = oracle._change_table(6, tuple(kernel.move_probabilities().items()))
+        # every state takes the hold, so each block's first state leads it
+        starts = [int(src[0]) for src, _ in oracle._matches(space.masks, ch.toggle, ch.before)]
+        assert starts[0] == 0 and len(starts) >= 3
+        P = oracle.build_matrix(kernel, space)
+        terms = 1 + sum(6 ** MOVES[move][1] for move in kernel.move_probabilities())
+        for i in (s + k for s in starts[1:] for k in (-1, 0)):
+            ref = np.zeros(len(space))
+            for g, p in oracle.transition_row_reference(kernel, space.graph(i)).items():
+                ref[space.index_of(g)] += p
+            row = P[[i]].toarray().ravel()
+            off = np.arange(len(space)) != i
+            assert row[off] == pytest.approx(ref[off], abs=1e-15)
+            assert row[i] == pytest.approx(ref[i], abs=terms * np.finfo(float).eps)
+
+    def test_diagonal_subtracts_move_by_move(self):
+        # the diagonal is 1 - w - w - ..., one entry at a time in MOVES
+        # order, and each move fires with one weight, p * tuples / n^arity
+        n, iv = 6, DegreeInterval((1,) * 6, (2,) * 6)
+        kernel = DegreeIntervalKernel(iv)
+        probs, tuples = kernel.move_probabilities(), {"add_delete": 2, "hinge": 1, "switch": 4}
+        weights = [probs[move] * tuples[move] / n**arity for move, (_, arity) in MOVES.items()]
+        P = oracle.build_matrix(kernel, enumerate_graphs(n, interval=iv))
+        for i in range(P.shape[0]):
+            row = P.getrow(i)
+            entries = Counter(row.data[row.indices != i].tolist())
+            assert sum(entries.values()) == sum(entries[w] for w in weights)
+            x = 1.0
+            for w in weights:
+                for _ in range(entries[w]):
+                    x -= w
+            assert P[i, i] == x
+
+    def test_missing_late_state(self):
+        iv = DegreeInterval((1,) * 6, (3,) * 6)
+        full = enumerate_graphs(6, interval=iv)
+        with pytest.raises(Mismatch):
+            oracle.build_matrix(DegreeIntervalKernel(iv), oracle.StateSpace(6, full.masks[:-1]))
+
+    def test_unknown_move(self):
+        sp = enumerate_graphs(4, d=(1, 1, 1, 1))
+        with pytest.raises(ValueError, match="swap"):
+            state_graph_components(sp, moves=("swap",))
+        with pytest.raises(ValueError, match="swap"):
+            state_graph_components(oracle.StateSpace(4, np.empty(0, dtype=np.int64)), moves=("swap",))
+
+    @pytest.mark.parametrize("n,lo,hi", [(3, 0, 2), (5, 1, 2), (8, 2, 3)])
+    def test_ranker_matches_searchsorted(self, n, lo, hi):
+        masks = enumerate_graphs(n, interval=DegreeInterval((lo,) * n, (hi,) * n)).masks
+        rng = np.random.default_rng(n)
+        targets = np.concatenate(
+            [rng.integers(0, 1 << n * (n - 1) // 2, 2000), masks[rng.integers(0, len(masks), 2000)]]
+        )
+        rows, member = oracle._ranker(masks, n)(targets)
+        assert np.array_equal(member, np.isin(targets, masks))
+        assert member.any() and np.array_equal(rows[member], np.searchsorted(masks, targets[member]))
+
+    def test_ranker_cap(self):
+        with pytest.raises(TooLarge):
+            oracle._ranker(np.zeros(1, dtype=np.int64), 9)
 
 
 class TestComponents:
