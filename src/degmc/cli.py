@@ -32,6 +32,7 @@ from .graphs import (
     NotGraphical,
     ParseError,
     intervals_from_observation,
+    open_input,
     read_edge_list,
     read_intervals,
     realize,
@@ -151,7 +152,7 @@ def _instance_hash(iv):
 def cmd_ingest(args):
     g = read_edge_list(args.edges)
     missing = [0] * g.n
-    with open(args.missing) as fh:
+    with open_input(args.missing) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -339,10 +339,18 @@ def intervals_from_observation(observed, missing):
 # Interval file: lines "i ell_i u_i".
 
 
+def open_input(path):
+    """The input file at path, open for reading; ParseError if it cannot be."""
+    try:
+        return open(path)
+    except OSError as e:
+        raise ParseError(f"{path}: cannot open: {e.strerror}") from e
+
+
 def read_edge_list(path, n=None):
     pairs = []
     max_node = -1
-    with open(path) as fh:
+    with open_input(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -375,7 +383,7 @@ def write_edge_list(path, g):
 
 def read_intervals(path):
     rows = {}
-    with open(path) as fh:
+    with open_input(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -391,6 +399,8 @@ def read_intervals(path):
                 raise ParseError(f"{path}:{lineno}: duplicate node {i}", lineno)
             rows[i] = (lo, hi)
     n = len(rows)
+    if n == 0:
+        raise ParseError(f"{path}: names no node")
     if sorted(rows) != list(range(n)):
         raise ParseError(f"{path}: node ids must be exactly 0..{n - 1}")
     lower = tuple(rows[i][0] for i in range(n))

@@ -36,8 +36,12 @@ Transition matrices are CSR at every size.  ``spectral_gap`` and
 (``_spectral_form``): dense below ``SPARSE_FROM`` states, where the gap is
 a full ``eigvalsh``; CSR from there on, where the gap is the smaller of the
 top two Lanczos eigenvalues (ARPACK) of the sparse symmetrized matrix and
-the curve steps by sparse products.  So neither densifies a large matrix,
-and both work on any space the enumeration reaches.
+the curve steps by sparse products.  ``check_stochastic``,
+``congestion_check`` and ``verify_martin_randall`` read the entries of
+either form as they are, and the decomposition check slices its
+restriction chains from the CSR.  So nothing densifies a matrix of
+``SPARSE_FROM`` states or more, and every check works on any space the
+enumeration reaches.
 """
 
 from __future__ import annotations
@@ -58,7 +62,9 @@ import scipy.sparse.linalg as spla
 from .chains import MOVES, add_delete_move, hinge_flip_move, switch_move
 from .graphs import DegreeInterval, Graph, _norm_edge
 
-DENSE_LIMIT = 4096  # largest matrix _as_dense densifies
+# no code here reads it: perfbench/workloads.py gives a gap and a curve only to
+# spaces of at most this many states, and tests/test_perfbench.py checks it is an int
+DENSE_LIMIT = 4096
 ENUMERATION_CAP = 8
 COUNT_CAP = 12  # largest n the count recursion takes
 # states from which spectral_gap and tv_curve work on CSR; below it a dense
@@ -223,9 +229,6 @@ class StateSpace:
 
     def graph(self, i):
         return graph_of(int(self.masks[i]), self.n)
-
-    def graphs(self):
-        return [self.graph(i) for i in range(len(self))]
 
     def degrees(self):
         nm = node_bit_masks(self.n)
@@ -507,9 +510,8 @@ def build_matrix(kernel, space):
     other entries, subtracted one at a time, move by move in
     ``chains.MOVES`` order (within a move every change has the same
     weight).  CSR at every size, assembled without a sort (module docstring).
-    Callers that index it densely go through _as_dense.  Raises Mismatch if
-    a state violates the kernel's constraints or a legal move leaves the
-    space.
+    Raises Mismatch if a state violates the kernel's constraints or a legal
+    move leaves the space.
     """
     n, masks, size = kernel.n, space.masks, len(space)
     if space.n != n:
@@ -548,35 +550,21 @@ def build_matrix(kernel, space):
     return sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr), shape=(size, size))
 
 
-def _as_dense(P):
-    """P as a dense float array; TooLarge above DENSE_LIMIT states."""
-    if sp.issparse(P):
-        if P.shape[0] > DENSE_LIMIT:
-            raise TooLarge("matrix too large to densify")
-        return P.toarray()
-    return np.asarray(P, dtype=float)
-
-
 def _spectral_form(P):
     """P for spectral_gap and tv_curve: dense below SPARSE_FROM states, else CSR."""
     if P.shape[0] == 0:
         raise ValueError("the chain has no states")
     if P.shape[0] < SPARSE_FROM:
-        return _as_dense(P)
+        return P.toarray() if sp.issparse(P) else np.asarray(P, dtype=float)
     return sp.csr_matrix(P, dtype=float)
 
 
-def _check_rows(P, tol):
-    """Raise NotStochastic unless P, dense or sparse, is row-stochastic."""
+def check_stochastic(P, tol=1e-12):
+    """P, dense or sparse, unchanged; NotStochastic unless it is row-stochastic."""
     if P.min() < -tol:
         raise NotStochastic("negative entries")
     if np.max(np.abs(np.asarray(P.sum(axis=1)).ravel() - 1.0)) > max(tol, 1e-12) * 10:
         raise NotStochastic("rows do not sum to 1")
-
-
-def check_stochastic(P, tol=1e-12):
-    P = _as_dense(P)
-    _check_rows(P, tol)
     return P
 
 
@@ -591,8 +579,7 @@ def spectral_gap(P, pi=None):
     a disconnected chain has 1 twice and gap 0.  ArpackNoConvergence
     propagates rather than an unconverged value.
     """
-    P = _spectral_form(P)
-    _check_rows(P, 1e-9)
+    P = check_stochastic(_spectral_form(P), 1e-9)
     size = P.shape[0]
     if size == 1:
         return 1.0
@@ -631,34 +618,31 @@ def mixing_time_bound(pi_x, lambda1, eps):
 
 
 def congestion_check(P, pi=None):
-    """Canonical-path congestion bound for a birth-death chain.
+    """Canonical-path congestion bound for a birth-death chain, dense or sparse.
 
     Routes pi(i)pi(j) along the monotone path i -> i+1 -> ... -> j and
     checks gap >= 1 / (sigma * ell).
     """
-    P = check_stochastic(P, tol=1e-9)
-    size = P.shape[0]
-    for i in range(size):
-        for j in range(size):
-            if abs(i - j) > 1 and P[i, j] != 0:
-                raise ValueError("congestion_check expects a birth-death chain")
+    C = sp.coo_matrix(check_stochastic(P, tol=1e-9))
+    if (np.abs(C.row - C.col) > 1)[C.data != 0].any():
+        raise ValueError("congestion_check expects a birth-death chain")
+    size = C.shape[0]
     if size == 1:
         return {"sigma": 0.0, "ell": 0, "bound": np.inf, "gap": 1.0, "holds": True}
+    up, down = C.diagonal(1), C.diagonal(-1)
     if pi is None:
-        up, down = np.diag(P, 1), np.diag(P, -1)
         if (np.minimum(up, down) <= 0).any():
             raise ValueError("flow crosses a zero-probability transition")
         # detailed balance: pi[i + 1] / pi[i] = P[i, i + 1] / P[i + 1, i]
         pi = np.cumprod(np.concatenate([[1.0], up / down]))
         pi /= pi.sum()
-    sigma = 0.0
-    for z in range(size - 1):
-        flow = float(pi[: z + 1].sum() * pi[z + 1 :].sum())
-        for (a, b) in ((z, z + 1), (z + 1, z)):
-            q = float(pi[a] * P[a, b])
-            if q <= 0:
-                raise ValueError("flow crosses a zero-probability transition")
-            sigma = max(sigma, flow / q)
+    pi = np.asarray(pi, dtype=float)
+    # the cut between z and z + 1 carries pi(<= z) pi(> z), in both directions
+    flow = np.cumsum(pi)[:-1] * np.cumsum(pi[::-1])[::-1][1:]
+    q = np.minimum(pi[:-1] * up, pi[1:] * down)
+    if (q <= 0).any():
+        raise ValueError("flow crosses a zero-probability transition")
+    sigma = float((flow / q).max())
     ell = size - 1
     gap = spectral_gap(P, pi)
     bound = sigma * ell
@@ -1040,73 +1024,62 @@ def verify_log_concave(w):
 
 
 def verify_martin_randall(P, partition, pi=None):
-    """Exact check of the decomposition gap inequality.
+    """Exact check of the decomposition gap inequality, on P dense or sparse.
 
     gap(P) >= beta * gamma * gap(P_MH) * min_i gap(P_restricted_i)
 
     with beta the smallest positive off-diagonal transition probability,
     gamma the worst boundary-mass ratio between adjacent blocks, and P_MH
     the Metropolis-Hastings projection chain (proposal 1/(2*Delta), Delta
-    the maximum out-degree of the projection state graph).
+    the maximum out-degree of the projection state graph).  pi is positive
+    (uniform by default).  All of it is read off one pass over P's positive
+    off-diagonal entries: restriction i keeps the entries inside block i
+    and holds the rest of each row.
     """
-    P = check_stochastic(P, tol=1e-9)
-    size = P.shape[0]
-    if pi is None:
-        pi = np.full(size, 1.0 / size)
-    pi = np.asarray(pi, dtype=float)
-    q = len(partition)
-    block_of = np.empty(size, dtype=int)
-    for b, idxs in enumerate(partition):
-        block_of[np.asarray(idxs, dtype=int)] = b
+    C = sp.coo_matrix(check_stochastic(P, tol=1e-9))
+    size, q = C.shape[0], len(partition)
+    pi = np.full(size, 1.0 / size) if pi is None else np.asarray(pi, dtype=float)
+    # the states renumbered in partition order: block i is starts[i]:starts[i + 1]
+    order = np.concatenate([np.asarray(idxs, dtype=np.int64) for idxs in partition])
+    starts = np.concatenate(([0], np.cumsum([len(idxs) for idxs in partition])))
+    block = np.repeat(np.arange(q), np.diff(starts))
+    pos = np.empty(size, dtype=np.int64)
+    pos[order] = np.arange(size)
+    mass = pi[order]
+    block_pi = np.bincount(block, weights=mass, minlength=q)
 
-    off = P.copy()
-    np.fill_diagonal(off, 0.0)
-    positive = off > 0
-    beta = float(off[positive].min()) if positive.any() else 1.0
+    keep = (C.row != C.col) & (C.data > 0)
+    src, dst, w = pos[C.row[keep]], pos[C.col[keep]], C.data[keep]
+    beta = float(w.min()) if len(w) else 1.0
 
-    block_pi = np.array([pi[np.asarray(idxs, dtype=int)].sum() for idxs in partition])
+    # boundary[i, j]: the mass of the states of block j that block i reaches
+    inside = block[src] == block[dst]
+    i, y = np.divmod(np.unique(block[src[~inside]] * size + dst[~inside]), size)
+    boundary = np.bincount(i * q + block[y], weights=mass[y], minlength=q * q).reshape(q, q)
+    adjacent = boundary > 0
+    gamma = float((boundary / block_pi)[adjacent].min(initial=1.0))
 
-    # adjacency and boundary masses between blocks
-    adj_blocks = set()
-    gamma = 1.0
-    disconnected = []
-    for i in range(q):
-        idx_i = np.asarray(partition[i], dtype=int)
-        for j in range(q):
-            if i == j:
-                continue
-            idx_j = np.asarray(partition[j], dtype=int)
-            reach = positive[np.ix_(idx_i, idx_j)].any(axis=0)
-            if reach.any():
-                adj_blocks.add((i, j))
-                boundary_mass = float(pi[idx_j[reach]].sum())
-                gamma = min(gamma, boundary_mass / block_pi[j])
-
-    # restriction chains
-    restriction_gaps = []
-    for i in range(q):
-        idx = np.asarray(partition[i], dtype=int)
-        sub = P[np.ix_(idx, idx)].copy()
-        np.fill_diagonal(sub, 0.0)
-        diag = 1.0 - sub.sum(axis=1)
-        sub[np.diag_indices_from(sub)] = diag
-        sub_pi = pi[idx] / pi[idx].sum()
-        ncomp, _ = csgraph.connected_components(sp.coo_matrix(sub > 0), directed=False)
-        if ncomp > 1:
-            disconnected.append(i)
-        restriction_gaps.append(spectral_gap(sub, sub_pi) if len(idx) > 1 else 1.0)
+    # restriction i keeps the entries inside block i and holds the rest of
+    # each row: it is the diagonal block R[starts[i]:starts[i + 1]]
+    hold = 1.0 - np.bincount(src[inside], weights=w[inside], minlength=size)
+    rows, cols = (np.concatenate([x[inside], np.arange(size)]) for x in (src, dst))
+    R = sp.csr_matrix((np.concatenate([w[inside], hold]), (rows, cols)), shape=(size, size))
+    # a block is disconnected when its states fall in more than one component
+    ncomp, labels = csgraph.connected_components(R, directed=False)
+    comp_block = np.empty(ncomp, dtype=np.int64)
+    comp_block[labels] = block
+    disconnected = np.flatnonzero(np.bincount(comp_block, minlength=q) > 1).tolist()
+    restriction_gaps = [
+        spectral_gap(R[a:b, a:b], mass[a:b] / mass[a:b].sum()) if b - a > 1 else 1.0
+        for a, b in zip(starts[:-1], starts[1:])
+    ]
 
     # Metropolis-Hastings projection chain
     if q == 1:
         gap_mh = 1.0
     else:
-        out_deg = np.zeros(q, dtype=int)
-        for (i, j) in adj_blocks:
-            out_deg[i] += 1
-        delta = int(out_deg.max()) if out_deg.max() > 0 else 1
-        P_mh = np.zeros((q, q))
-        for (i, j) in adj_blocks:
-            P_mh[i, j] = min(1.0, block_pi[j] / block_pi[i]) / (2.0 * delta)
+        delta = max(int(adjacent.sum(axis=1).max()), 1)
+        P_mh = np.where(adjacent, np.minimum(1.0, block_pi / block_pi[:, None]), 0.0) / (2.0 * delta)
         np.fill_diagonal(P_mh, 1.0 - P_mh.sum(axis=1))
         gap_mh = spectral_gap(P_mh, block_pi / block_pi.sum())
 

@@ -213,7 +213,7 @@ class TestTransitionRows:
         tuple, so it agrees within that sum's rounding bound, (number of
         terms) * machine epsilon.
         """
-        P = oracle._as_dense(oracle.build_matrix(k, space))
+        P = oracle.build_matrix(k, space).toarray()
         terms = 1 + sum(k.n ** MOVES[move][1] for move in k.move_probabilities())
         for i in range(len(space)):
             ref = np.zeros(len(space))

@@ -61,6 +61,16 @@ class TestIngest:
             miss.write_text(text)
             assert main(["ingest", triangle, str(miss)]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("unreadable", [0, 1], ids=["edges", "missing-counts"])
+    def test_unreadable_file(self, triangle, tmp_path, capsys, unreadable):
+        miss = tmp_path / "miss.txt"
+        miss.write_text("0 0\n")
+        argv = [triangle, str(miss)]
+        for path in (str(tmp_path / "no_such_file"), str(tmp_path)):  # missing, a directory
+            argv[unreadable] = path
+            assert main(["ingest", *argv]) == EXIT_PARSE
+            assert path in capsys.readouterr().err
+
     def test_roundtrip_sample_within_intervals(self, triangle, tmp_path):
         miss = tmp_path / "miss.txt"
         miss.write_text("0 0\n1 0\n2 0\n")
@@ -78,8 +88,13 @@ class TestIngest:
             assert iv.contains_graph(g)
 
 
-@pytest.mark.parametrize("command", [["count"], ["sample"], ["ladder", "--m", "1"], ["analyze"]],
-                         ids=["count", "sample", "ladder", "analyze"])
+interval_commands = pytest.mark.parametrize(
+    "command", [["count"], ["sample"], ["ladder", "--m", "1"], ["analyze"]],
+    ids=["count", "sample", "ladder", "analyze"],
+)
+
+
+@interval_commands
 def test_malformed_bounds(tmp_path, capsys, command):
     """lo > hi, a negative bound or hi > n - 1 is a parse error naming the file."""
     p = tmp_path / "iv.txt"
@@ -87,6 +102,23 @@ def test_malformed_bounds(tmp_path, capsys, command):
         p.write_text(text)
         assert main([command[0], str(p), *command[1:]]) == EXIT_PARSE
         assert str(p) in capsys.readouterr().err
+
+
+@interval_commands
+def test_unreadable_interval_file(tmp_path, capsys, command):
+    """A missing path or a directory is a parse error naming it."""
+    for path in (str(tmp_path / "no_such_file"), str(tmp_path)):
+        assert main([command[0], path, *command[1:]]) == EXIT_PARSE
+        assert path in capsys.readouterr().err
+
+
+@interval_commands
+def test_interval_file_naming_no_node(tmp_path, capsys, command):
+    p = tmp_path / "iv.txt"
+    for text in ("", "# a comment\n\n"):
+        p.write_text(text)
+        assert main([command[0], str(p), *command[1:]]) == EXIT_PARSE
+        assert "names no node" in capsys.readouterr().err
 
 
 class TestSample:

@@ -305,10 +305,13 @@ class TestMatrices:
             oracle.build_matrix(DegreeIntervalKernel(iv), sp)
 
     def test_not_stochastic(self):
-        with pytest.raises(NotStochastic):
-            oracle.check_stochastic(np.array([[0.5, 0.4], [0.5, 0.5]]))
-        with pytest.raises(NotStochastic):
-            oracle.check_stochastic(np.array([[1.2, -0.2], [0.0, 1.0]]))
+        for form in (np.asarray, sparse.csr_matrix):
+            with pytest.raises(NotStochastic):
+                oracle.check_stochastic(form(np.array([[0.5, 0.4], [0.5, 0.5]])))
+            with pytest.raises(NotStochastic):
+                oracle.check_stochastic(form(np.array([[1.2, -0.2], [0.0, 1.0]])))
+            P = form(np.array([[0.5, 0.5], [0.25, 0.75]]))
+            assert oracle.check_stochastic(P) is P
 
     def test_two_state_gap(self):
         P = np.array([[0.75, 0.25], [0.25, 0.75]])
@@ -455,13 +458,20 @@ class TestSparsePath:
 
     def test_never_densifies(self, monkeypatch):
         iv = DegreeInterval((1,) * 6, (3,) * 6)
-        P = oracle.build_matrix(DegreeIntervalKernel(iv), enumerate_graphs(6, interval=iv))
+        space = enumerate_graphs(6, interval=iv)
+        P = oracle.build_matrix(DegreeIntervalKernel(iv), space)
         assert sparse.issparse(P) and P.shape == (8285, 8285)  # above DENSE_LIMIT
 
-        def refuse(P):
-            raise AssertionError("densified")
+        # sparse matrices below SPARSE_FROM states may go dense, none larger
+        for cls in (sparse.csr_matrix, sparse.csc_matrix, sparse.coo_matrix,
+                    sparse.csr_array, sparse.csc_array, sparse.coo_array):
+            for name in ("toarray", "todense"):
+                def refuse(self, *args, _real=getattr(cls, name), **kwargs):
+                    if max(self.shape) >= oracle.SPARSE_FROM:
+                        raise AssertionError("densified")
+                    return _real(self, *args, **kwargs)
 
-        monkeypatch.setattr(oracle, "_as_dense", refuse)
+                monkeypatch.setattr(cls, name, refuse)
         gap = spectral_gap(P)
         assert 0 < gap < 1
         curve = tv_curve(P, 0, 40)
@@ -473,6 +483,16 @@ class TestSparsePath:
         bad.data[0] = -bad.data[0]
         with pytest.raises(NotStochastic):
             spectral_gap(bad)
+        # the interval chain by edge count: seven blocks, the largest 2,800 states
+        masses = oracle._popcount(space.masks)
+        rep = verify_martin_randall(P, [np.flatnonzero(masses == m) for m in np.unique(masses)])
+        assert rep["holds"] and rep["gap"] == gap and rep["num_blocks"] == 7
+        assert not rep["disconnected_blocks"]
+        # a birth-death chain on 300 states, in CSR
+        k = np.arange(300)
+        B = projection.edge_count_matrix(np.exp(-(((k - 130) / 40.0) ** 2)))
+        rep = congestion_check(sparse.csr_matrix(B))
+        assert rep["holds"] and rep == pytest.approx(congestion_check(B), rel=1e-12)
 
 
 class TestCongestion:
@@ -493,10 +513,22 @@ class TestCongestion:
             P = projection.edge_count_matrix(w)
             assert congestion_check(P) == pytest.approx(congestion_check(P, np.asarray(w) / np.sum(w)))
 
+    def test_sigma_matches_cut_loop(self):
+        """sigma against a loop over the cuts, for a pi that is not in
+        detailed balance, so the two directions of a cut differ."""
+        P = projection.edge_count_matrix([1.0, 3.0, 5.0, 4.0, 2.0, 1.0])
+        pi = np.array([0.1, 0.3, 0.1, 0.2, 0.2, 0.1])
+        sigma = 0.0
+        for z in range(len(pi) - 1):
+            flow = pi[: z + 1].sum() * pi[z + 1 :].sum()
+            sigma = max(sigma, flow / (pi[z] * P[z, z + 1]), flow / (pi[z + 1] * P[z + 1, z]))
+        for form in (P, sparse.csr_matrix(P)):
+            assert congestion_check(form, pi)["sigma"] == pytest.approx(sigma, rel=1e-14)
+
     def test_rejects_non_birth_death(self):
-        P = np.full((3, 3), 1 / 3)
-        with pytest.raises(ValueError):
-            congestion_check(P)
+        for form in (np.asarray, sparse.csr_matrix):
+            with pytest.raises(ValueError, match="birth-death"):
+                congestion_check(form(np.full((3, 3), 1 / 3)))
 
 
 class TestToggles:
@@ -744,11 +776,140 @@ class TestLogConcavity:
                 check(iv)
 
 
+def dense_verify_martin_randall(P, partition, pi=None):
+    """The decomposition check on a dense P by scans of each block pair."""
+    P = np.asarray(P, dtype=float)
+    size = P.shape[0]
+    if pi is None:
+        pi = np.full(size, 1.0 / size)
+    pi = np.asarray(pi, dtype=float)
+    q = len(partition)
+
+    off = P.copy()
+    np.fill_diagonal(off, 0.0)
+    positive = off > 0
+    beta = float(off[positive].min()) if positive.any() else 1.0
+
+    block_pi = np.array([pi[np.asarray(idxs, dtype=int)].sum() for idxs in partition])
+
+    # adjacency and boundary masses between blocks
+    adj_blocks = set()
+    gamma = 1.0
+    disconnected = []
+    for i in range(q):
+        idx_i = np.asarray(partition[i], dtype=int)
+        for j in range(q):
+            if i == j:
+                continue
+            idx_j = np.asarray(partition[j], dtype=int)
+            reach = positive[np.ix_(idx_i, idx_j)].any(axis=0)
+            if reach.any():
+                adj_blocks.add((i, j))
+                boundary_mass = float(pi[idx_j[reach]].sum())
+                gamma = min(gamma, boundary_mass / block_pi[j])
+
+    # restriction chains
+    restriction_gaps = []
+    for i in range(q):
+        idx = np.asarray(partition[i], dtype=int)
+        sub = P[np.ix_(idx, idx)].copy()
+        np.fill_diagonal(sub, 0.0)
+        diag = 1.0 - sub.sum(axis=1)
+        sub[np.diag_indices_from(sub)] = diag
+        sub_pi = pi[idx] / pi[idx].sum()
+        ncomp, _ = csgraph.connected_components(sparse.coo_matrix(sub > 0), directed=False)
+        if ncomp > 1:
+            disconnected.append(i)
+        restriction_gaps.append(spectral_gap(sub, sub_pi) if len(idx) > 1 else 1.0)
+
+    # Metropolis-Hastings projection chain
+    if q == 1:
+        gap_mh = 1.0
+    else:
+        out_deg = np.zeros(q, dtype=int)
+        for (i, j) in adj_blocks:
+            out_deg[i] += 1
+        delta = int(out_deg.max()) if out_deg.max() > 0 else 1
+        P_mh = np.zeros((q, q))
+        for (i, j) in adj_blocks:
+            P_mh[i, j] = min(1.0, block_pi[j] / block_pi[i]) / (2.0 * delta)
+        np.fill_diagonal(P_mh, 1.0 - P_mh.sum(axis=1))
+        gap_mh = spectral_gap(P_mh, block_pi / block_pi.sum())
+
+    gap_p = spectral_gap(P, pi)
+    rhs = beta * gamma * gap_mh * min(restriction_gaps)
+    return {
+        "beta": beta,
+        "gamma": gamma,
+        "gap": gap_p,
+        "gap_projection": gap_mh,
+        "min_restriction_gap": float(min(restriction_gaps)),
+        "rhs": float(rhs),
+        "holds": bool(gap_p >= rhs - 1e-12),
+        "disconnected_blocks": disconnected,
+        "num_blocks": q,
+    }
+
+
 class TestMartinRandall:
+    @staticmethod
+    def assert_agree(rep, want):
+        """Floats within 1e-12 relative, everything else equal."""
+        assert rep.keys() == want.keys()
+        for key, x in want.items():
+            if isinstance(x, float):
+                assert abs(rep[key] - x) <= 1e-12 * abs(x), key
+            else:
+                assert rep[key] == x, key
+
+    def test_suite_matches_dense_reference(self, monkeypatch):
+        """Every decomposition the suite builds at n = 4, 5, both levels."""
+        real, calls = oracle.verify_martin_randall, []
+
+        def record(P, partition, pi=None):
+            rep = real(P, partition, pi)
+            calls.append((P, partition, rep))
+            return rep
+
+        monkeypatch.setattr(oracle, "verify_martin_randall", record)
+        assert len(verify.run("martinrandall", range(4, 6))) == len(calls) > 50
+        for P, partition, rep in calls:
+            assert sparse.issparse(P)
+            self.assert_agree(rep, dense_verify_martin_randall(P.toarray(), partition))
+
+    def test_small_chains_match_dense_reference(self):
+        path = np.array([[0.75, 0.25, 0, 0], [0.25, 0.5, 0.25, 0], [0, 0.25, 0.5, 0.25], [0, 0, 0.25, 0.75]])
+        iv = DegreeInterval((1,) * 5, (2,) * 5)
+        sp = enumerate_graphs(5, interval=iv)
+        masses = oracle._popcount(sp.masks)
+        by_edges = [np.flatnonzero(masses == m) for m in np.unique(masses)]
+        # a Metropolis chain of the symmetric interval chain, reversible for a
+        # non-uniform pi
+        pi = np.random.default_rng(3).uniform(0.5, 2.0, len(sp))
+        pi /= pi.sum()
+        M = oracle.build_matrix(DegreeIntervalKernel(iv), sp).toarray() * np.minimum(1.0, pi / pi[:, None])
+        np.fill_diagonal(M, 0.0)
+        np.fill_diagonal(M, 1.0 - M.sum(axis=1))
+        # state 2 is reached from both states of the other block, state 3 from neither
+        fan = np.array([[0.5, 0.25, 0.25, 0], [0.25, 0.5, 0.25, 0], [0.25, 0.25, 0.25, 0.25], [0, 0, 0.25, 0.75]])
+        cases = [
+            (path, [[0, 1, 2, 3]], None),
+            (path, [[0, 1], [2, 3]], None),
+            (path, [[0, 2], [3, 1]], None),  # both blocks disconnected
+            (fan, [[0, 1], [2, 3]], None),
+            (M, by_edges, pi),
+        ]
+        for P, partition, pi in cases:
+            want = dense_verify_martin_randall(P, partition, pi)
+            for form in (P, sparse.csr_matrix(P)):
+                self.assert_agree(verify_martin_randall(form, partition, pi), want)
+        assert dense_verify_martin_randall(path, [[0, 2], [3, 1]])["disconnected_blocks"] == [0, 1]
+        assert dense_verify_martin_randall(fan, [[0, 1], [2, 3]])["gamma"] == 0.5
+
     def test_interval_chain_by_edge_count(self):
         iv = DegreeInterval((1,) * 5, (2,) * 5)
         sp = enumerate_graphs(5, interval=iv)
-        P = oracle._as_dense(oracle.build_matrix(DegreeIntervalKernel(iv), sp))
+        P = oracle.build_matrix(DegreeIntervalKernel(iv), sp).toarray()
         masses = oracle._popcount(sp.masks).astype(int)
         partition = [
             list(np.nonzero(masses == m)[0]) for m in sorted(set(masses.tolist()))
