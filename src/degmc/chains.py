@@ -13,12 +13,15 @@ Three kernels are provided, each a seeded single-step function:
 Each move is defined once, as an in-place function in ``MOVES``:
 ``run_with_rng`` runs it, ``step`` is a run of one step, and
 ``oracle.build_matrix`` and ``oracle.state_graph_components`` read their
-toggle patterns off it.  Each kernel's move table lists its moves with
-their attempt probabilities.  Move attempts draw ordered node tuples
-uniformly, repeats allowed; a degenerate tuple simply fails the edge tests,
-which keeps the transition rows exactly enumerable.  The pure move
-functions are kept only for ``oracle.transition_row_reference``, the
-independent cross-check.
+toggle patterns off it.  The chain state is a list of per-node neighbour
+sets ``nb``, with the degrees ``deg``; every move is called as
+``fn(nb, deg, lo, hi, v, w, x, y)``, with the kernel's degree bounds and
+four node labels, of which it reads its first ``arity``.  Each kernel's
+move table lists its moves with their attempt probabilities.  Move attempts
+draw ordered node tuples uniformly, repeats allowed; a degenerate tuple
+simply fails the edge tests, which keeps the transition rows exactly
+enumerable.  The pure move functions, on ``Graph`` values, are kept only
+for ``oracle.transition_row_reference``, the independent cross-check.
 
 Stream layout (``RNG_LAYOUT`` 4): every step consumes one row of ``ROW``
 doubles from ``rng.random``, whether it holds or moves.  The row is u, which
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DegreeInterval, Graph, _norm_edge
+from .graphs import DegreeInterval, Graph
 
 RNG_LAYOUT = 4  # version of the stream layout below; the sample manifest records it
 ROW = 5  # doubles per step: u, then four node draws
@@ -135,7 +138,7 @@ class _TableKernel:
         return dict(self.table[1])
 
     def branches(self):
-        """(hold, cuts, [MOVES[move], ...]), each an (in-place move, arity).
+        """(hold, cuts, [in-place function of MOVES[move], ...]).
 
         ``cuts`` holds every cut point but the last, which is taken as
         infinite, so that ``_decode`` maps each u >= hold to a move."""
@@ -144,7 +147,7 @@ class _TableKernel:
         for _, p in moves[:-1]:
             cut += p
             cuts.append(cut)
-        return hold, np.array(cuts), [MOVES[move] for move, _ in moves]
+        return hold, np.array(cuts), [MOVES[move][0] for move, _ in moves]
 
     def step(self, g, rng):
         """One step from g; ValueError if g is outside the kernel's space."""
@@ -212,76 +215,78 @@ class DegreeIntervalKernel(_TableKernel):
 
 
 def run_with_rng(kernel, g0, steps, rng):
-    """Run ``steps`` steps on a mutable edge set; only builds a Graph at the end.
+    """Run ``steps`` steps on per-node neighbour sets; only builds a Graph at the end.
 
     Draws the stream in blocks of ``BLOCK`` rows, the last cut to the steps
     that remain, and applies each non-held row's move in place, so a run of
     s steps returns what s one-step runs return and leaves ``rng`` in the
     same state.  Raises ValueError if g0 is outside the kernel's state
     space."""
-    n, iv = kernel.n, kernel.interval
-    deg = list(g0.degree_sequence())
+    n, nb = kernel.n, g0.adjacency()
+    deg = [len(row) for row in nb]
     if g0.n != n or not kernel.admits(deg, len(g0.edges)):
         raise ValueError("initial state is outside the kernel's state space")
-    edges = set(g0.edges)
-    hold, cuts, branches = kernel.branches()
+    iv = kernel.interval
+    lo, hi = iv.lower, iv.upper
+    hold, cuts, fns = kernel.branches()
     for start in range(0, steps, BLOCK):
         moves, labels = _decode(rng.random((min(BLOCK, steps - start), ROW)), hold, cuts, n)
-        for row in zip(moves, *labels):
-            move, arity = branches[row[0]]
-            move(edges, deg, iv, *row[1 : arity + 1])
-    return Graph(n, frozenset(edges))
+        for k, v, w, x, y in zip(moves, *labels):
+            fns[k](nb, deg, lo, hi, v, w, x, y)
+    return Graph.from_adjacency(nb)
 
 
-def _try_switch(edges, deg, iv, v, w, x, y):
-    if w == v or x == y:
-        return
-    e_wv, e_xy = _norm_edge(w, v), _norm_edge(x, y)
-    if e_wv not in edges or e_xy not in edges:
-        return
-    if y == v or x == w:
-        return
-    e_yv, e_xw = _norm_edge(y, v), _norm_edge(x, w)
-    if e_yv in edges or e_xw in edges:
-        return
-    edges.remove(e_wv)
-    edges.remove(e_xy)
-    edges.add(e_yv)
-    edges.add(e_xw)
+# The in-place moves.  Each takes the neighbour sets nb, the degrees deg, the
+# bounds lo and hi, and four node labels, of which it reads its first arity.
+# No node is its own neighbour, so a membership test also rejects a repeated
+# label where the pair must be an edge; where it must not be, the label
+# test stays.
 
 
-def _try_hinge(edges, deg, iv, v, w, x):
-    if v == w or _norm_edge(w, v) not in edges:
+def _try_switch(nb, deg, lo, hi, v, w, x, y):
+    if w not in nb[v] or y not in nb[x] or y == v or x == w:
         return
-    if x == w or x == v or _norm_edge(w, x) in edges:
+    if v in nb[y] or w in nb[x]:
         return
-    if deg[v] - 1 < iv.lower[v] or deg[x] + 1 > iv.upper[x]:
+    nb[v].remove(w)
+    nb[w].remove(v)
+    nb[x].remove(y)
+    nb[y].remove(x)
+    nb[v].add(y)
+    nb[y].add(v)
+    nb[x].add(w)
+    nb[w].add(x)
+
+
+def _try_hinge(nb, deg, lo, hi, v, w, x, y):
+    if w not in nb[v] or x in nb[w] or x == w:
         return
-    edges.remove(_norm_edge(w, v))
-    edges.add(_norm_edge(w, x))
+    if deg[v] <= lo[v] or deg[x] >= hi[x]:
+        return
+    nb[v].remove(w)
+    nb[w].remove(v)
+    nb[w].add(x)
+    nb[x].add(w)
     deg[v] -= 1
     deg[x] += 1
 
 
-def _try_toggle(edges, deg, iv, v, w):
-    if v == w:
-        return
-    e = _norm_edge(v, w)
-    if e in edges:
-        if deg[v] - 1 < iv.lower[v] or deg[w] - 1 < iv.lower[w]:
+def _try_toggle(nb, deg, lo, hi, v, w, x, y):
+    if w in nb[v]:
+        if deg[v] <= lo[v] or deg[w] <= lo[w]:
             return
-        edges.remove(e)
+        nb[v].remove(w)
+        nb[w].remove(v)
         deg[v] -= 1
         deg[w] -= 1
-    else:
-        if deg[v] + 1 > iv.upper[v] or deg[w] + 1 > iv.upper[w]:
-            return
-        edges.add(e)
+    elif v != w and deg[v] < hi[v] and deg[w] < hi[w]:
+        nb[v].add(w)
+        nb[w].add(v)
         deg[v] += 1
         deg[w] += 1
 
 
-# Every move: (in-place function of (edges, deg, interval, *labels), arity).
+# Every move: (in-place function of (nb, deg, lo, hi, v, w, x, y), arity).
 # Whether a move fires depends only on the pairs it toggles and on the degree
 # bounds, which oracle._toggles relies on.  build_matrix takes the moves in
 # this order, by arity.

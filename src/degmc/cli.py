@@ -31,8 +31,8 @@ from .graphs import (
     Infeasible,
     NotGraphical,
     ParseError,
+    input_lines,
     intervals_from_observation,
-    open_input,
     read_edge_list,
     read_intervals,
     realize,
@@ -152,21 +152,16 @@ def _instance_hash(iv):
 def cmd_ingest(args):
     g = read_edge_list(args.edges)
     missing = [0] * g.n
-    with open_input(args.missing) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"{args.missing}:{lineno}: expected 'i k_i'", lineno)
-            try:
-                i, k = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"{args.missing}:{lineno}: non-integer field", lineno)
-            if not (0 <= i < g.n):
-                raise ParseError(f"{args.missing}:{lineno}: node {i} out of range", lineno)
-            missing[i] = k
+    for lineno, _, parts in input_lines(args.missing):
+        if len(parts) != 2:
+            raise ParseError(f"{args.missing}:{lineno}: expected 'i k_i'", lineno)
+        try:
+            i, k = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"{args.missing}:{lineno}: non-integer field", lineno)
+        if not (0 <= i < g.n):
+            raise ParseError(f"{args.missing}:{lineno}: node {i} out of range", lineno)
+        missing[i] = k
     try:
         iv = intervals_from_observation(g, missing)
     except ValueError as e:

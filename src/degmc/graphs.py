@@ -2,12 +2,13 @@
 
 Graphs are labeled, simple and undirected, with nodes 0..n-1.  Edges are
 stored as frozensets of sorted pairs so Graph values are hashable and safe
-to share; code that mutates graphs (the chain run loops) works on private
-edge sets and only builds a Graph at the end.
+to share; code that mutates graphs (the chain run loop) works on private
+neighbour sets and only builds a Graph at the end.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -74,6 +75,11 @@ class Graph:
             adj[i].add(j)
             adj[j].add(i)
         return adj
+
+    @classmethod
+    def from_adjacency(cls, adj):
+        """The graph whose per-node neighbor sets are adj (see adjacency())."""
+        return cls(len(adj), frozenset((i, j) for i, row in enumerate(adj) for j in row if i < j))
 
     def with_edges(self, add=(), remove=()):
         edges = set(self.edges)
@@ -339,40 +345,52 @@ def intervals_from_observation(observed, missing):
 # Interval file: lines "i ell_i u_i".
 
 
-def open_input(path):
-    """The input file at path, open for reading; ParseError if it cannot be."""
+def input_lines(path):
+    """(line number, line, fields) of each line of the input file at path
+    that has fields, '#' comments cut; ParseError, naming the path and, for
+    text that is not UTF-8, the line, if the file cannot be read."""
     try:
-        return open(path)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         raise ParseError(f"{path}: cannot open: {e.strerror}") from e
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lineno = data.count(b"\n", 0, e.start) + 1
+        raise ParseError(f"{path}:{lineno}: not UTF-8 text", lineno) from e
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield lineno, raw, fields
 
 
 def read_edge_list(path, n=None):
     pairs = []
     max_node = -1
-    with open_input(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 'u v', got {raw!r}", lineno)
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-integer node id in {raw!r}", lineno)
-            if i == j or i < 0 or j < 0:
-                raise ParseError(f"{path}:{lineno}: invalid edge ({i},{j})", lineno)
-            pairs.append((i, j))
-            max_node = max(max_node, i, j)
+    for lineno, raw, parts in input_lines(path):
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 'u v', got {raw!r}", lineno)
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-integer node id in {raw!r}", lineno)
+        if i == j or i < 0 or j < 0:
+            raise ParseError(f"{path}:{lineno}: invalid edge ({i},{j})", lineno)
+        pairs.append((i, j))
+        max_node = max(max_node, i, j)
     if n is None:
         n = max_node + 1
     return Graph.from_edges(n, pairs)
 
 
 def write_edge_list(path, g):
-    text = f"# n={g.n}\n" + "".join(f"{i} {j}\n" for (i, j) in sorted(g.edges))
+    # Sorting integer keys i * n + j beats sorting the pairs, and one format
+    # of the whole list beats one per line.
+    n = g.n
+    keys = sorted([i * n + j for i, j in g.edges])
+    pairs = itertools.chain.from_iterable(map(divmod, keys, itertools.repeat(n)))
+    text = f"# n={n}\n" + "%d %d\n" * len(keys) % tuple(pairs)
     # Overwrite in place, then cut to length.  Truncating to zero on open
     # makes ext4 start writing the file back to disk at close (auto_da_alloc),
     # a disk flush per file that costs more than the write itself.
@@ -383,21 +401,16 @@ def write_edge_list(path, g):
 
 def read_intervals(path):
     rows = {}
-    with open_input(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 'i ell_i u_i', got {raw!r}", lineno)
-            try:
-                i, lo, hi = (int(x) for x in parts)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-integer field in {raw!r}", lineno)
-            if i in rows:
-                raise ParseError(f"{path}:{lineno}: duplicate node {i}", lineno)
-            rows[i] = (lo, hi)
+    for lineno, raw, parts in input_lines(path):
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 'i ell_i u_i', got {raw!r}", lineno)
+        try:
+            i, lo, hi = (int(x) for x in parts)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-integer field in {raw!r}", lineno)
+        if i in rows:
+            raise ParseError(f"{path}:{lineno}: duplicate node {i}", lineno)
+        rows[i] = (lo, hi)
     n = len(rows)
     if n == 0:
         raise ParseError(f"{path}: names no node")

@@ -659,18 +659,20 @@ def _toggles(n, move):
     A state whose bits under the mask equal a moves to the state with b
     there, degree bounds aside; tuples ordered node tuples fire the change.
     Read off ``MOVES[move]``: the move runs on the tuple (0, ..., arity - 1)
-    from every edge set on those nodes, under bounds that never bind, and
-    each change is mapped through every injective tuple on n nodes.  A tuple
-    that repeats a label never fires (``transition_row_reference`` checks).
+    over the neighbour sets of every edge set on those nodes, under bounds
+    that never bind, and each change is mapped through every injective tuple
+    on n nodes.  A tuple that repeats a label never fires
+    (``transition_row_reference`` checks).
     """
     fn, arity = MOVES[move]
     local = list(itertools.combinations(range(arity), 2))
-    free = DegreeInterval((0,) * arity, (arity - 1,) * arity)
+    labels = (*range(arity), None, None, None)[:4]  # a move reads only its first arity
     changes = {}
     for bits in range(1 << len(local)):
         before = {p for k, p in enumerate(local) if bits >> k & 1}
-        after = set(before)
-        fn(after, [sum(v in p for p in before) for v in range(arity)], free, *range(arity))
+        nb = Graph(arity, frozenset(before)).adjacency()
+        fn(nb, [len(row) for row in nb], (0,) * arity, (arity - 1,) * arity, *labels)
+        after = Graph.from_adjacency(nb).edges
         if after != before:
             changes[frozenset(before - after), frozenset(after - before)] = None
     bit, groups = pair_bit(n), {}

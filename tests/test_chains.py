@@ -13,6 +13,7 @@ from degmc import oracle
 from degmc.chains import (
     BLOCK,
     MOVES,
+    ROW,
     DegreeIntervalKernel,
     SwitchHingeFlipKernel,
     SwitchKernel,
@@ -23,7 +24,7 @@ from degmc.chains import (
     spawn_rngs,
     switch_move,
 )
-from degmc.graphs import DegreeInterval, Graph
+from degmc.graphs import DegreeInterval, Graph, realize_in_interval
 
 
 def random_graph(rng, n, p=0.5):
@@ -107,10 +108,11 @@ class TestMoves:
             for iv in (DegreeInterval((0,) * n, (n - 1,) * n), DegreeInterval((1,) * n, (2,) * n)):
                 for move, (in_place, arity) in MOVES.items():
                     for labels in itertools.product(range(n), repeat=arity):
-                        edges, deg = set(g.edges), list(g.degree_sequence())
-                        in_place(edges, deg, iv, *labels)
+                        nb, deg = g.adjacency(), list(g.degree_sequence())
+                        # the labels past arity are never read
+                        in_place(nb, deg, iv.lower, iv.upper, *labels, *[None] * (4 - arity))
                         want = PURE[move](g, labels, iv)
-                        assert edges == want.edges, (move, labels)
+                        assert Graph.from_adjacency(nb).edges == want.edges, (move, labels)
                         assert tuple(deg) == want.degree_sequence(), (move, labels)
 
 
@@ -166,6 +168,40 @@ class TestKernels:
                 g_slow = kernel.step(g_slow, rng)
             assert g_fast == g_slow
 
+    def test_run_matches_pure_moves_at_scale(self):
+        """run_with_rng's stream, decoded here from its layout (module
+        docstring) and replayed through the pure moves on Graphs, gives the
+        run's graph at several lengths, for all three kernels on a seeded
+        near-regular box of widths 0 and 1 on 60 nodes."""
+        n, steps = 60, 24000
+        rng = make_rng(9)
+        lower = tuple(9 + int(b) for b in rng.integers(0, 2, n))
+        iv = DegreeInterval(lower, tuple(a + int(b) for a, b in zip(lower, rng.integers(0, 2, n))))
+        g0 = realize_in_interval(iv, (sum(iv.lower) + sum(iv.upper)) // 4)
+        kernels = (
+            SwitchKernel(d=g0.degree_sequence()),
+            SwitchHingeFlipKernel(iv, m=g0.num_edges),
+            DegreeIntervalKernel(iv),
+        )
+        lengths = {1000, BLOCK + 3, 3 * BLOCK}
+        rows = make_rng(21).random((steps, ROW))
+        for kernel in kernels:
+            hold, table = kernel.table
+            g = g0
+            for done, (u, *xs) in enumerate(rows):
+                if done in lengths:
+                    assert run_with_rng(kernel, g0, done, make_rng(21)) == g, (kernel, done)
+                if u < hold:
+                    continue
+                cut = hold
+                for move, p in table:
+                    cut += p
+                    if u < cut:
+                        break
+                labels = tuple(int(x * n) for x in xs[: MOVES[move][1]])
+                g = PURE[move](g, labels, kernel.interval)
+            assert run_with_rng(kernel, g0, steps, make_rng(21)) == g
+            assert g != g0 and kernel.contains(g)
 
     def test_block_boundaries(self):
         """At every run length around the block size, run_with_rng returns

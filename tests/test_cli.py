@@ -71,6 +71,16 @@ class TestIngest:
             assert main(["ingest", *argv]) == EXIT_PARSE
             assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [0, 1], ids=["edges", "missing-counts"])
+    def test_non_utf8_file(self, triangle, tmp_path, capsys, bad):
+        miss = tmp_path / "miss.txt"
+        miss.write_text("0 0\n")
+        argv = [triangle, str(miss)]
+        argv[bad] = str(tmp_path / "bad.txt")
+        (tmp_path / "bad.txt").write_bytes(b"0 1\n\xff\xfe\x00 1 2\n")
+        assert main(["ingest", *argv]) == EXIT_PARSE
+        assert f"{argv[bad]}:2: not UTF-8" in capsys.readouterr().err
+
     def test_roundtrip_sample_within_intervals(self, triangle, tmp_path):
         miss = tmp_path / "miss.txt"
         miss.write_text("0 0\n1 0\n2 0\n")
@@ -110,6 +120,16 @@ def test_unreadable_interval_file(tmp_path, capsys, command):
     for path in (str(tmp_path / "no_such_file"), str(tmp_path)):
         assert main([command[0], path, *command[1:]]) == EXIT_PARSE
         assert path in capsys.readouterr().err
+
+
+@interval_commands
+def test_non_utf8_interval_file(tmp_path, capsys, command):
+    """Bytes that are not UTF-8 are a parse error naming the file and line."""
+    p = tmp_path / "iv.txt"
+    for text, line in ((b"\xff\xfe\x00 1 2\n", 1), (b"0 1 2\n# ok\n1 \xe9 2\n", 3)):
+        p.write_bytes(text)
+        assert main([command[0], str(p), *command[1:]]) == EXIT_PARSE
+        assert f"{p}:{line}: not UTF-8" in capsys.readouterr().err
 
 
 @interval_commands
