@@ -3,7 +3,8 @@
 Three kernels are provided, each a seeded single-step function:
 
 * ``SwitchKernel`` -- lazy switch chain on the realizations of a fixed
-  degree sequence (hold 5/6, switch attempt 1/6).
+  degree sequence d, the interval class [d, d] (hold 5/6, switch attempt
+  1/6).
 * ``SwitchHingeFlipKernel`` -- chain on graphs with degrees in an interval
   and a fixed edge count (hold 2/3, switch 1/6, hinge flip 1/6).
 * ``DegreeIntervalKernel`` -- chain on all graphs with degrees in an
@@ -20,7 +21,9 @@ four node labels, of which it reads its first ``arity``.  Each kernel's
 move table lists its moves with their attempt probabilities.  Move attempts
 draw ordered node tuples uniformly, repeats allowed; a degenerate tuple
 simply fails the edge tests, which keeps the transition rows exactly
-enumerable.  The pure move functions, on ``Graph`` values, are kept only
+enumerable.  Every kernel holds its box as ``interval``, built once, and
+one ``admits`` reads its space off the box and the edge count the kernel
+fixes, if any.  The pure move functions, on ``Graph`` values, are kept only
 for ``oracle.transition_row_reference``, the independent cross-check.
 
 Stream layout (``RNG_LAYOUT`` 4): every step consumes one row of ``ROW``
@@ -41,7 +44,7 @@ unranked through the count recursion), layout 4 ``counting.estimate_ratio``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,10 +132,14 @@ class _TableKernel:
     def n(self):
         return self.interval.n
 
+    def admits(self, deg, m):
+        """Whether graphs with degrees deg and m edges are states: deg lies
+        in the kernel's interval, and m is its edge count if it fixes one."""
+        return self.interval.contains(deg) and getattr(self, "m", m) == m
+
     def contains(self, g):
-        """Whether g is a state; each kernel's ``admits(deg, m)`` says which
-        degree sequences deg on n nodes and edge counts m are."""
-        return g.n == self.n and self.admits(g.degree_sequence(), g.num_edges)
+        """Whether g is a state."""
+        return self.admits(g.degree_sequence(), g.num_edges)
 
     def move_probabilities(self):
         return dict(self.table[1])
@@ -170,25 +177,15 @@ def _decode(rows, hold, cuts, n):
 
 @dataclass(frozen=True)
 class SwitchKernel(_TableKernel):
-    """Lazy switch chain on G(d)."""
+    """Lazy switch chain on G(d), the interval class with lower = upper = d."""
 
     d: tuple
+    interval: DegreeInterval = field(init=False, repr=False)
     table = (1.0 - 1.0 / 6.0, (("switch", 1.0 / 6.0),))
 
     def __post_init__(self):
         object.__setattr__(self, "d", tuple(int(x) for x in self.d))
-
-    @property
-    def n(self):
-        return len(self.d)
-
-    @property
-    def interval(self):
-        """G(d) is the interval class with lower = upper = d."""
-        return DegreeInterval(self.d, self.d)
-
-    def admits(self, deg, m):
-        return tuple(deg) == self.d
+        object.__setattr__(self, "interval", DegreeInterval(self.d, self.d))
 
 
 @dataclass(frozen=True)
@@ -199,9 +196,6 @@ class SwitchHingeFlipKernel(_TableKernel):
     m: int
     table = (2.0 / 3.0, (("switch", 1.0 / 6.0), ("hinge", 1.0 / 6.0)))
 
-    def admits(self, deg, m):
-        return m == self.m and self.interval.contains(deg)
-
 
 @dataclass(frozen=True)
 class DegreeIntervalKernel(_TableKernel):
@@ -209,9 +203,6 @@ class DegreeIntervalKernel(_TableKernel):
 
     interval: DegreeInterval
     table = (0.5, (("switch", 1.0 / 6.0), ("hinge", 1.0 / 6.0), ("add_delete", 1.0 / 6.0)))
-
-    def admits(self, deg, m):
-        return self.interval.contains(deg)
 
 
 def run_with_rng(kernel, g0, steps, rng):
@@ -224,7 +215,7 @@ def run_with_rng(kernel, g0, steps, rng):
     space."""
     n, nb = kernel.n, g0.adjacency()
     deg = [len(row) for row in nb]
-    if g0.n != n or not kernel.admits(deg, len(g0.edges)):
+    if not kernel.admits(deg, len(g0.edges)):
         raise ValueError("initial state is outside the kernel's state space")
     iv = kernel.interval
     lo, hi = iv.lower, iv.upper

@@ -175,19 +175,18 @@ def cmd_ingest(args):
 
 
 def _chain(iv, name, m):
-    """(kernel, enumerate_graphs keywords of its space, start state) of the
-    named chain on the interval.  The start state comes as a function, so
-    that analyze, which needs none, does not build one."""
+    """(kernel, start state) of the named chain on the interval.  The start
+    state comes as a function, so that analyze, which needs none, does not
+    build one."""
     if name == "switch":
         if iv.lower != iv.upper:
             raise Infeasible("the switch chain needs a fixed degree sequence (l = u)")
-        return SwitchKernel(d=iv.lower), {"d": iv.lower}, lambda: realize(iv.lower)
+        return SwitchKernel(d=iv.lower), lambda: realize(iv.lower)
     if name == "switch-hinge":
         if m is None:
             raise ParseError("--m is required for the switch-hinge chain")
-        kernel = SwitchHingeFlipKernel(interval=iv, m=m)
-        return kernel, {"interval": iv, "m": m}, lambda: realize_in_interval(iv, m)
-    return DegreeIntervalKernel(interval=iv), {"interval": iv}, lambda: _middle_graph(iv)
+        return SwitchHingeFlipKernel(interval=iv, m=m), lambda: realize_in_interval(iv, m)
+    return DegreeIntervalKernel(interval=iv), lambda: _middle_graph(iv)
 
 
 def _middle_graph(iv):
@@ -200,7 +199,7 @@ def _middle_graph(iv):
 
 def cmd_sample(args):
     iv = read_intervals(args.intervals)
-    kernel, _, start = _chain(iv, args.chain, args.m)
+    kernel, start = _chain(iv, args.chain, args.m)
     g = start()
     rng = make_rng(args.seed)
     base = args.output or "sample"
@@ -256,8 +255,8 @@ def cmd_ladder(args):
 
 def cmd_analyze(args):
     iv = read_intervals(args.intervals)
-    kernel, space_args, _ = _chain(iv, args.chain, args.m)
-    space = oracle.enumerate_graphs(iv.n, **space_args)
+    kernel, _ = _chain(iv, args.chain, args.m)
+    space = verify.state_space(kernel)
     size = len(space)
     if size == 0:
         raise Infeasible(f"{space.description} is empty")

@@ -8,8 +8,8 @@ single-sequence class G(a^p), and each ratio |C_{k+1}| / |C_k| is estimated
 from N exactly uniform draws out of C_k, whose hit count is drawn by its
 exact law, Binomial(N, ratio).  Sampling unranks a uniform integer below
 |G(l,u)| through the same recursion (``oracle.graph_of_rank``);
-``sample_realization`` does so on the box l = u = d and runs the switch
-chain above the cap.
+``sample_realization`` does so on the box l = u = d, since G(d) is the
+interval class [d, d].
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import DegreeInterval, Infeasible, realize, _feasible_sequence
-from .chains import SwitchKernel, make_rng, run_with_rng
+from .graphs import DegreeInterval, Infeasible, _feasible_sequence
+from .chains import make_rng
 from . import oracle
 
-EXACT_SAMPLE_CAP = oracle.COUNT_CAP  # sample_realization draws exactly up to this n
+EXACT_SAMPLE_CAP = oracle.COUNT_CAP  # sample_realization's cap, the count recursion's
 
 
 class OddResidue(ValueError):
@@ -165,7 +165,7 @@ def estimate_count_m(iv, m, eps, delta, rng=None, seed=None):
         return CountEstimate(-math.inf, eps, delta, method="infeasible")
     # rung k's class is G_m(a^k, u); the last, whose lower bounds sum to 2m,
     # is the single-sequence class G(a^p)
-    sizes = [exact_interval_count(DegreeInterval(a, iv.upper), m) for a in ladder.rungs]
+    sizes = [_exact_interval_count_cached(a, iv.upper, m) for a in ladder.rungs]
     log_est = math.log(sizes[-1])
     if ladder.num_ratios == 0:
         return CountEstimate(log_est, eps, delta, method="exact")
@@ -206,12 +206,10 @@ def estimate_count(iv, eps, delta, seed=None):
     total = 0.0
     used = 0
     rungs = 0
-    parts = []
     for m in counts:
         est = estimate_count_m(iv, m, eps, delta_prime, rng=rng)
         used += est.samples_used
         rungs += est.ladder_length
-        parts.append(est)
         total += est.value
     return CountEstimate(
         log_value=math.log(total) if total > 0 else -math.inf,
@@ -247,15 +245,10 @@ def _uniform_graph(lower, upper, rng):
 
 
 def sample_realization(d, rng):
-    """Uniform draw from G(d) up to ``EXACT_SAMPLE_CAP`` nodes (a uniform
-    rank unranked through the count recursion), near-uniform (switch chain)
-    beyond it."""
+    """An exactly uniform draw from G(d), the box l = u = d; raises TooLarge
+    above ``EXACT_SAMPLE_CAP`` nodes."""
     d = tuple(int(x) for x in d)
-    n = len(d)
-    if n <= EXACT_SAMPLE_CAP:
-        return _uniform_graph(d, d, rng)
-    g0 = realize(d)
-    return run_with_rng(SwitchKernel(d=d), g0, 20 * n * n * sum(d), rng)
+    return _uniform_graph(d, d, rng)
 
 
 def sample_interval(iv, rng=None, seed=None):

@@ -128,7 +128,8 @@ class DegreeInterval:
         return len(self.lower)
 
     def contains(self, d):
-        return all(lo <= x <= hi for lo, x, hi in zip(self.lower, d, self.upper))
+        """Whether d has one entry per node, each within its bounds."""
+        return len(d) == self.n and all(lo <= x <= hi for lo, x, hi in zip(self.lower, d, self.upper))
 
     def contains_graph(self, g):
         return self.contains(g.degree_sequence())

@@ -623,13 +623,13 @@ def congestion_check(P, pi=None):
     Routes pi(i)pi(j) along the monotone path i -> i+1 -> ... -> j and
     checks gap >= 1 / (sigma * ell).
     """
-    C = sp.coo_matrix(check_stochastic(P, tol=1e-9))
-    if (np.abs(C.row - C.col) > 1)[C.data != 0].any():
+    rows, cols = check_stochastic(P, tol=1e-9).nonzero()
+    if (np.abs(rows - cols) > 1).any():
         raise ValueError("congestion_check expects a birth-death chain")
-    size = C.shape[0]
+    size = P.shape[0]
     if size == 1:
         return {"sigma": 0.0, "ell": 0, "bound": np.inf, "gap": 1.0, "holds": True}
-    up, down = C.diagonal(1), C.diagonal(-1)
+    up, down = P.diagonal(1), P.diagonal(-1)
     if pi is None:
         if (np.minimum(up, down) <= 0).any():
             raise ValueError("flow crosses a zero-probability transition")

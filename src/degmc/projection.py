@@ -94,7 +94,7 @@ class DegreeSpace:
     def log_weight(self, d):
         """log w(d); -inf off the box, off the slice sum(d) = 2m, or at zero weight."""
         d = tuple(d)
-        if len(d) != self.n or sum(d) != 2 * self.m or not self.interval.contains(d):
+        if sum(d) != 2 * self.m or not self.interval.contains(d):
             return -math.inf
         return self.model.log_weight(d)
 

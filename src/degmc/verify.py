@@ -182,14 +182,17 @@ def check_logconcave(iv):
 
 
 def check_congestion(iv):
-    """The birth-death walk on the edge-count profile meets its gap bound."""
+    """The birth-death walk on the edge-count profile meets its log-concave
+    gap bound and the canonical-path bound 1 / (sigma * ell)."""
     w = _profile(iv)
     if len(w) < 2 or any(x <= 0 for x in w):
         return []
-    P = projection.edge_count_matrix(w)
-    gap = oracle.spectral_gap(P, np.asarray(w, dtype=float) / sum(w))
-    bound = projection.logconcave_gap_bound(w)
-    return [_record(_label(iv), "birth-death spectral gap", bound, gap, gap >= bound - 1e-12)]
+    rep = oracle.congestion_check(projection.edge_count_matrix(w), np.asarray(w, dtype=float) / sum(w))
+    gap, bound = rep["gap"], projection.logconcave_gap_bound(w)
+    return [
+        _record(_label(iv), "birth-death spectral gap", bound, gap, gap >= bound - 1e-12),
+        _record(_label(iv), "canonical-path congestion bound", 1.0 / rep["bound"], gap, rep["holds"]),
+    ]
 
 
 def _blocks(keys):

@@ -33,6 +33,7 @@ def random_graph(rng, n, p=0.5):
 
 
 WIDE = DegreeInterval((0,) * 6, (5,) * 6)
+ADMITS_BOX = DegreeInterval((1, 1, 2, 0, 2), (2, 3, 2, 1, 4))
 PURE = {
     "switch": lambda g, quad, iv: switch_move(g, quad),
     "hinge": hinge_flip_move,
@@ -125,6 +126,36 @@ class TestKernels:
         assert SwitchHingeFlipKernel(iv, m=1).contains(Graph.from_edges(3, [(0, 1)]))
         assert not SwitchHingeFlipKernel(iv, m=2).contains(Graph.from_edges(3, [(0, 1)]))
         assert DegreeIntervalKernel(iv).contains(Graph.empty(3))
+
+    def test_switch_kernel_checks_d_when_built(self):
+        """A degree above n - 1 is DegreeInterval's error at construction."""
+        with pytest.raises(ValueError, match="exceeds n-1"):
+            SwitchKernel(d=(5, 5))
+        with pytest.raises(ValueError, match="invalid interval"):
+            SwitchKernel(d=(1, -1, 0))
+
+    @pytest.mark.parametrize(
+        "kernel, old_admits",
+        [
+            (SwitchKernel(d=(1, 3, 2, 0, 2)), lambda deg, m: tuple(deg) == (1, 3, 2, 0, 2)),
+            (SwitchHingeFlipKernel(ADMITS_BOX, m=4), lambda deg, m: m == 4 and ADMITS_BOX.contains(deg)),
+            (DegreeIntervalKernel(ADMITS_BOX), lambda deg, m: ADMITS_BOX.contains(deg)),
+        ],
+        ids=["switch", "switch-hinge", "interval"],
+    )
+    def test_shared_admits_matches_per_kernel_definitions(self, kernel, old_admits):
+        """The one admits on _TableKernel agrees with each kernel's former
+        definition on every degree sequence in [0, 4]^5, in the box and out
+        of it, at edge counts 3 to 5, and refuses sequences of other lengths."""
+        seen = Counter()
+        for deg in itertools.product(range(5), repeat=5):
+            for m in (3, 4, 5):
+                want = old_admits(list(deg), m)
+                assert kernel.admits(list(deg), m) == want, (deg, m)
+                seen[want] += 1
+        assert seen[True] and seen[False]
+        for deg in ((1, 3, 2, 0), (1, 3, 2, 0, 2, 0), ()):
+            assert not kernel.admits(list(deg), 4)
 
     def test_run_rejects_bad_start(self):
         with pytest.raises(ValueError):

@@ -86,15 +86,16 @@ class TestExactCounts:
         assert oracle.edge_count_profile(lower, upper) == per_m[nonzero[0] : nonzero[-1] + 1]
 
     def test_fails_fast_above_cap(self, monkeypatch):
-        """Above the count recursion's cap, exact counts and the exact
-        sampler raise TooLarge before listing any degree vector."""
+        """Above the count recursion's cap, exact counts and both exact
+        samplers raise TooLarge before listing any degree vector."""
         def refuse(*args):
             raise AssertionError("degree vectors were enumerated")
 
         monkeypatch.setattr("degmc.projection.enumerate_degree_vectors", refuse)
         iv = DegreeInterval((4,) * 30, (5,) * 30)
         for call in (lambda: exact_interval_count(iv), lambda: exact_interval_count(iv, 67),
-                     lambda: sample_interval(iv, seed=0)):
+                     lambda: sample_interval(iv, seed=0),
+                     lambda: sample_realization((4,) * 30, make_rng(0))):
             with pytest.raises(oracle.TooLarge):
                 call()
 

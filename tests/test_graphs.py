@@ -170,6 +170,16 @@ class TestDegreeInterval:
         assert iv.width() == 1
         assert DegreeInterval.constant((2, 2, 2)).width() == 0
 
+    def test_contains_wrong_length(self):
+        """A sequence or graph on another number of nodes is never inside,
+        whether it is shorter or longer than the box."""
+        iv = DegreeInterval((1,) * 5, (2,) * 5)
+        for d in ((1,), (1,) * 4, (1,) * 6, ()):
+            assert not iv.contains(d)
+        assert not iv.contains_graph(Graph(2, frozenset({(0, 1)})))
+        assert not iv.contains_graph(Graph.complete(3))
+        assert iv.contains((1,) * 5)
+
     def test_realize_in_interval(self):
         iv = DegreeInterval((1,) * 5, (3,) * 5)
         for m in (3, 5, 7):
