@@ -78,8 +78,22 @@ class Graph:
 
     @classmethod
     def from_adjacency(cls, adj):
-        """The graph whose per-node neighbor sets are adj (see adjacency())."""
-        return cls(len(adj), frozenset((i, j) for i, row in enumerate(adj) for j in row if i < j))
+        """The graph whose per-node neighbor sets are adj, a list of sets (see adjacency()).
+
+        Each edge is read from its lower end's set.  The labels are checked
+        with set operations and the edge set is built once, already
+        normalized, so ``__post_init__`` does not check every edge again.
+        ValueError if a node is in its own set or a label is outside 0..n-1.
+        """
+        n = len(adj)
+        if any(map(set.__contains__, adj, range(n))):
+            raise ValueError(f"self-loop at node {next(i for i, row in enumerate(adj) if i in row)}")
+        if not set().union(*adj) <= set(range(n)):
+            raise ValueError(f"neighbor labels {sorted(set().union(*adj) - set(range(n)))} out of range for n={n}")
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", frozenset((i, j) for i, row in enumerate(adj) for j in row if i < j))
+        return g
 
     def with_edges(self, add=(), remove=()):
         edges = set(self.edges)
@@ -219,11 +233,14 @@ def is_graphical(d):
     prefix = list(itertools.accumulate(s, initial=0))
     j = n  # s[i] >= k exactly for i < j; j only moves left as k grows
     for k in range(1, n + 1):
-        while j > 0 and s[j - 1] < k:
+        # from the first k with s[k-1] < k on, each step adds 2(k - 1 - s[k-1])
+        # >= 0 to the slack, so no later inequality can fail
+        if s[k - 1] < k:
+            break
+        while s[j - 1] < k:
             j -= 1
         # sum(min(x, k) for x in s[k:]): k for each i in [k, j), s[i] beyond
-        b = max(j, k)
-        tail = k * (b - k) + prefix[n] - prefix[b]
+        tail = k * (j - k) + prefix[n] - prefix[j]
         if prefix[k] > k * (k - 1) + tail:
             return False
     return True

@@ -42,6 +42,12 @@ either form as they are, and the decomposition check slices its
 restriction chains from the CSR.  So nothing densifies a matrix of
 ``SPARSE_FROM`` states or more, and every check works on any space the
 enumeration reaches.
+
+scipy is imported inside the functions that build or read CSR matrices
+(``build_matrix``, ``_spectral_form``, ``spectral_gap``,
+``state_graph_components``, ``verify_martin_randall``), so the counts, the
+walk and the enumeration, which the sampling and counting commands use,
+never load it.
 """
 
 from __future__ import annotations
@@ -55,9 +61,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
-import scipy.sparse.linalg as spla
 
 from .chains import MOVES, add_delete_move, hinge_flip_move, switch_move
 from .graphs import DegreeInterval, Graph, _norm_edge
@@ -513,6 +516,8 @@ def build_matrix(kernel, space):
     Raises Mismatch if a state violates the kernel's constraints or a legal
     move leaves the space.
     """
+    import scipy.sparse as sp
+
     n, masks, size = kernel.n, space.masks, len(space)
     if space.n != n:
         raise Mismatch(f"space has n={space.n}, kernel has n={n}")
@@ -552,6 +557,8 @@ def build_matrix(kernel, space):
 
 def _spectral_form(P):
     """P for spectral_gap and tv_curve: dense below SPARSE_FROM states, else CSR."""
+    import scipy.sparse as sp
+
     if P.shape[0] == 0:
         raise ValueError("the chain has no states")
     if P.shape[0] < SPARSE_FROM:
@@ -579,6 +586,9 @@ def spectral_gap(P, pi=None):
     a disconnected chain has 1 twice and gap 0.  ArpackNoConvergence
     propagates rather than an unconverged value.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import eigsh
+
     P = check_stochastic(_spectral_form(P), 1e-9)
     size = P.shape[0]
     if size == 1:
@@ -590,7 +600,7 @@ def spectral_gap(P, pi=None):
         return float(1.0 - np.linalg.eigvalsh(S)[-2])
     S = sp.diags(root) @ P @ sp.diags(1.0 / root)
     v0 = np.random.default_rng(0).standard_normal(size)
-    top = spla.eigsh((0.5 * (S + S.T)).tocsr(), k=2, which="LA", tol=0, v0=v0, return_eigenvectors=False)
+    top = eigsh((0.5 * (S + S.T)).tocsr(), k=2, which="LA", tol=0, v0=v0, return_eigenvectors=False)
     return float(1.0 - top.min())
 
 
@@ -792,6 +802,9 @@ def state_graph_components(space, moves=("switch", "hinge", "add_delete")):
     table too, and the adjacency is undirected.  ValueError for a move name
     not in ``chains.MOVES``.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     # attempt probabilities only weight the matrix; any will do here
     ch = _change_table(space.n, tuple((move, 1.0) for move in moves))
     masks = space.masks
@@ -810,7 +823,7 @@ def state_graph_components(space, moves=("switch", "hinge", "add_delete")):
     cols = np.concatenate(cols)
     indptr = np.concatenate(([0], np.cumsum(counts)))
     adj = sp.csr_matrix((np.ones(len(cols), dtype=np.int8), cols, indptr), shape=(size, size))
-    return csgraph.connected_components(adj, directed=False)
+    return connected_components(adj, directed=False)
 
 
 # --- alternating paths ------------------------------------------------------
@@ -1038,6 +1051,9 @@ def verify_martin_randall(P, partition, pi=None):
     off-diagonal entries: restriction i keeps the entries inside block i
     and holds the rest of each row.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     C = sp.coo_matrix(check_stochastic(P, tol=1e-9))
     size, q = C.shape[0], len(partition)
     pi = np.full(size, 1.0 / size) if pi is None else np.asarray(pi, dtype=float)
@@ -1067,7 +1083,7 @@ def verify_martin_randall(P, partition, pi=None):
     rows, cols = (np.concatenate([x[inside], np.arange(size)]) for x in (src, dst))
     R = sp.csr_matrix((np.concatenate([w[inside], hold]), (rows, cols)), shape=(size, size))
     # a block is disconnected when its states fall in more than one component
-    ncomp, labels = csgraph.connected_components(R, directed=False)
+    ncomp, labels = connected_components(R, directed=False)
     comp_block = np.empty(ncomp, dtype=np.int64)
     comp_block[labels] = block
     disconnected = np.flatnonzero(np.bincount(comp_block, minlength=q) > 1).tolist()

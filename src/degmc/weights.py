@@ -11,7 +11,8 @@ projected chains and the counting estimators:
   edge density fixed by a target edge count m; within a fixed-m slice this
   variant is strongly log-concave, which the projected samplers exploit.
 
-All computation is in log space.
+All computation is in log space.  ``gammaln`` is imported from
+``scipy.special`` at its one use, so only ``lw`` and ``slc`` weights load it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 
 class DegenerateDensity(ValueError):
@@ -57,6 +57,8 @@ def sequence_stats(d):
 
 def _log_binom_sum(d, n):
     """sum_i ln C(n-1, d_i), in log space."""
+    from scipy.special import gammaln
+
     d = np.asarray(d, dtype=float)
     return float(np.sum(gammaln(n) - gammaln(d + 1) - gammaln(n - d)))
 

@@ -4,6 +4,9 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,8 @@ from degmc.chains import RNG_LAYOUT, DegreeIntervalKernel
 from degmc.counting import exact_interval_count
 from degmc.graphs import DegreeInterval, read_edge_list, read_intervals
 from degmc.oracle import DENSE_LIMIT
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -399,3 +404,51 @@ class TestPrecedence:
     def test_bad_env_value(self, iv5, monkeypatch):
         monkeypatch.setenv("DEGMC_STEPS", "many")
         assert main(["sample", iv5, "--chain", "interval"]) == EXIT_PARSE
+
+
+# Runs cli.main on each argument list of argv[1] (JSON) in one process, then
+# prints the exit codes and the scipy modules loaded.
+_FRESH_MAIN = """
+import json, sys
+from degmc.cli import main
+codes = [main(args) for args in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _fresh_main(commands):
+    """(exit codes, scipy modules loaded) of the commands run in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", _FRESH_MAIN, json.dumps(commands)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+class TestImports:
+    """Only analyze and verify need scipy; the other commands never load it."""
+
+    def test_sample_count_ladder_ingest_load_no_scipy(self, iv5, triangle, tmp_path):
+        const = tmp_path / "const.txt"
+        const.write_text("0 2 2\n1 2 2\n2 2 2\n")
+        miss = tmp_path / "miss.txt"
+        miss.write_text("0 0\n1 0\n2 0\n")
+        out = str(tmp_path / "s")
+        commands = [
+            ["sample", str(const), "--chain", "switch", "--steps", "50", "--output", out],
+            ["sample", iv5, "--chain", "switch-hinge", "--m", "4", "--steps", "50", "--output", out],
+            ["sample", iv5, "--chain", "interval", "--steps", "50", "--count", "2", "--output", out],
+            ["count", iv5],
+            ["count", iv5, "--m", "4"],
+            ["ladder", iv5, "--m", "4"],
+            ["ingest", triangle, str(miss), "--output", str(tmp_path / "ingested.txt")],
+        ]
+        codes, scipy_modules = _fresh_main(commands)
+        assert codes == [EXIT_OK] * len(commands)
+        assert scipy_modules == []
+
+    def test_analyze_in_fresh_process(self, iv5):
+        codes, scipy_modules = _fresh_main([["analyze", iv5, "--chain", "interval"]])
+        assert codes == [EXIT_OK]
+        assert "scipy.sparse" in scipy_modules

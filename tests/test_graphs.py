@@ -72,6 +72,18 @@ def brute_force_graphical(d):
     return False
 
 
+def is_graphical_full_loop(d):
+    """Erdos-Gallai checked at every k = 1..n, with no early exit: the
+    reference for is_graphical's loop."""
+    n = len(d)
+    if any(x < 0 for x in d) or sum(d) % 2:
+        return False
+    s = sorted(d, reverse=True)
+    return all(
+        sum(s[:k]) <= k * (k - 1) + sum(min(x, k) for x in s[k:]) for k in range(1, n + 1)
+    )
+
+
 class TestGraph:
     def test_normalizes_and_validates(self):
         g = Graph(3, frozenset({(2, 0), (1, 2)}))
@@ -97,6 +109,28 @@ class TestGraph:
         assert Graph.from_edges(3, [(0, 1)]) == Graph.from_edges(3, [(1, 0)])
         assert len({Graph.empty(3), Graph(3)}) == 1
 
+    @given(st.integers(1, 12), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_from_adjacency_matches_constructor(self, n, data):
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = frozenset(data.draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else frozenset()
+        g = Graph(n, edges)
+        h = Graph.from_adjacency(g.adjacency())
+        assert h == g and hash(h) == hash(g)
+
+    @pytest.mark.parametrize(
+        "adj,error",
+        [
+            ([{0, 1}, {0}], "self-loop at node 0"),  # beside the valid edge (0, 1)
+            ([{1}, {0, 1}, set()], "self-loop at node 1"),
+            ([{1, -1}, {0}, set()], "out of range"),
+            ([{1}, {0, 3}, set()], "out of range"),
+        ],
+    )
+    def test_from_adjacency_rejects(self, adj, error):
+        with pytest.raises(ValueError, match=error):
+            Graph.from_adjacency(adj)
+
 
 class TestGraphical:
     @pytest.mark.parametrize(
@@ -121,6 +155,11 @@ class TestGraphical:
         assert not is_graphical((1, 1, 1))
         assert not is_graphical((5, 0, 0, 0, 0))
         assert not is_graphical((-1, 1))
+
+    @given(st.integers(0, 10).flatmap(lambda n: st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)))
+    @settings(max_examples=2000, deadline=None)
+    def test_matches_full_loop(self, d):
+        assert is_graphical(d) is is_graphical_full_loop(d)
 
     def test_matches_brute_force_n5(self):
         for d in itertools.product(range(5), repeat=5):
