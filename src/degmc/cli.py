@@ -2,8 +2,9 @@
 
 Subcommands: ingest, sample, count, ladder, analyze, verify.  All outputs
 are machine-readable (JSON, plain edge lists); every command is
-deterministic given its inputs and --seed.  Flag values override
-environment variables (prefix DEGMC_), which override defaults.
+deterministic given its inputs and --seed.  Flags are the only settings:
+no environment variable is read, so a command line and its inputs replay a
+run.
 
 Exit codes: 0 success, 1 verification failure, 2 infeasible instance,
 3 parse/usage error, 4 instance beyond an exact path's size cap,
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 from . import counting, oracle, projection, verify
@@ -28,6 +28,7 @@ from .chains import (
     run_with_rng,
 )
 from .graphs import (
+    Graph,
     Infeasible,
     NotGraphical,
     ParseError,
@@ -49,30 +50,15 @@ EXIT_TOO_LARGE = 4
 EXIT_NO_HITS = 5
 
 
-def _env_default(name, cast, fallback):
-    raw = os.environ.get(f"DEGMC_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ParseError(f"bad value for DEGMC_{name}: {raw!r}")
-
-
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="degmc",
-        description=(
-            "Sampling and approximate counting of graphs with per-node degree "
-            "intervals.  Flags override DEGMC_* environment variables "
-            "(DEGMC_SEED, DEGMC_STEPS, DEGMC_EPS, DEGMC_DELTA, DEGMC_CHAIN), "
-            "which override defaults."
-        ),
+        description="Sampling and approximate counting of graphs with per-node degree intervals.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--output", type=str, default=None)
 
     sp = sub.add_parser("ingest", help="degree intervals from a partially observed graph")
@@ -82,16 +68,16 @@ def _build_parser():
 
     sp = sub.add_parser("sample", help="draw graphs from a degree-interval class")
     sp.add_argument("intervals", help="interval file: 'i ell_i u_i' lines")
-    sp.add_argument("--chain", choices=["switch", "switch-hinge", "interval"], default=None)
-    sp.add_argument("--steps", type=int, default=None)
+    sp.add_argument("--chain", choices=["switch", "switch-hinge", "interval"], default="interval")
+    sp.add_argument("--steps", type=int, default=10000)
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--count", type=int, default=1, help="number of samples")
     common(sp)
 
     sp = sub.add_parser("count", help="estimate the number of graphs in the class")
     sp.add_argument("intervals")
-    sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=None)
+    sp.add_argument("--eps", type=float, default=0.1)
+    sp.add_argument("--delta", type=float, default=0.05)
     sp.add_argument("--m", type=int, default=None)
     common(sp)
 
@@ -102,7 +88,7 @@ def _build_parser():
 
     sp = sub.add_parser("analyze", help="exact mixing diagnostics at desk scale")
     sp.add_argument("intervals")
-    sp.add_argument("--chain", choices=["switch", "switch-hinge", "interval"], default=None)
+    sp.add_argument("--chain", choices=["switch", "switch-hinge", "interval"], default="interval")
     sp.add_argument("--m", type=int, default=None)
     common(sp)
 
@@ -113,23 +99,14 @@ def _build_parser():
     return p
 
 
-def _resolve(args):
-    """Apply flag > env > default precedence for shared knobs."""
-    args.seed = args.seed if args.seed is not None else _env_default("SEED", int, 0)
-    if hasattr(args, "steps"):
-        args.steps = args.steps if args.steps is not None else _env_default("STEPS", int, 10000)
-    if hasattr(args, "eps"):
-        args.eps = args.eps if args.eps is not None else _env_default("EPS", float, 0.1)
-        args.delta = args.delta if args.delta is not None else _env_default("DELTA", float, 0.05)
-        if not (0 < args.eps < 1 and 0 < args.delta < 1):
-            raise ParseError("eps and delta must lie in (0,1)")
-    if hasattr(args, "chain"):
-        args.chain = args.chain or _env_default("CHAIN", str, "interval")
+def _check_ranges(args):
+    """The range checks that argparse's types do not make."""
+    if hasattr(args, "eps") and not (0 < args.eps < 1 and 0 < args.delta < 1):
+        raise ParseError("eps and delta must lie in (0,1)")
     if hasattr(args, "steps") and args.steps < 0:
         raise ParseError("steps must be non-negative")
     if hasattr(args, "count") and args.count < 0:
         raise ParseError("count must be non-negative")
-    return args
 
 
 def _emit(payload, output):
@@ -151,7 +128,7 @@ def _instance_hash(iv):
 
 def cmd_ingest(args):
     g = read_edge_list(args.edges)
-    missing = [0] * g.n
+    missing = {}
     for lineno, _, parts in input_lines(args.missing):
         if len(parts) != 2:
             raise ParseError(f"{args.missing}:{lineno}: expected 'i k_i'", lineno)
@@ -159,11 +136,13 @@ def cmd_ingest(args):
             i, k = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"{args.missing}:{lineno}: non-integer field", lineno)
-        if not (0 <= i < g.n):
-            raise ParseError(f"{args.missing}:{lineno}: node {i} out of range", lineno)
+        if i < 0:
+            raise ParseError(f"{args.missing}:{lineno}: negative node {i}", lineno)
         missing[i] = k
+    # the nodes of both files: a node may have missing counts and no observed edge
+    n = max(g.n, max(missing, default=-1) + 1)
     try:
-        iv = intervals_from_observation(g, missing)
+        iv = intervals_from_observation(Graph(n, g.edges), [missing.get(i, 0) for i in range(n)])
     except ValueError as e:
         raise ParseError(f"{args.missing}: {e}")
     if args.output:
@@ -229,7 +208,7 @@ def cmd_sample(args):
 def cmd_count(args):
     iv = read_intervals(args.intervals)
     if args.m is not None:
-        est = counting.estimate_count_m(iv, args.m, args.eps, args.delta, seed=args.seed)
+        est = counting.estimate_count_m(iv, args.m, args.eps, args.delta, make_rng(args.seed))
     else:
         est = counting.estimate_count(iv, args.eps, args.delta, seed=args.seed)
     _emit(est.to_dict(), args.output)
@@ -304,12 +283,12 @@ def main(argv=None):
     except SystemExit as e:
         return EXIT_PARSE if e.code not in (0, None) else 0
     try:
-        args = _resolve(args)
+        _check_ranges(args)
         return _COMMANDS[args.command](args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (Infeasible, NotGraphical, counting.OddResidue) as e:
+    except (Infeasible, NotGraphical) as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except oracle.TooLarge as e:

@@ -1,15 +1,19 @@
 """Approximate counting and exactly uniform sampling for degree intervals.
 
 Every exact number comes from the node-elimination recursion through one
-memoized entry point, ``exact_interval_count``, capped at ``oracle.COUNT_CAP``
-nodes.  Counting telescopes over a ladder of tightening lower bounds (Jerrum,
-Valiant and Vazirani): rung k's class is G_m(a^k, u), the last one is the
-single-sequence class G(a^p), and each ratio |C_{k+1}| / |C_k| is estimated
-from N exactly uniform draws out of C_k, whose hit count is drawn by its
-exact law, Binomial(N, ratio).  Sampling unranks a uniform integer below
-|G(l,u)| through the same recursion (``oracle.graph_of_rank``);
-``sample_realization`` does so on the box l = u = d, since G(d) is the
-interval class [d, d].
+memoized entry point, ``exact_interval_count``; the recursion refuses boxes
+of more than ``oracle.COUNT_CAP`` nodes.  Counting telescopes over a ladder
+of tightening lower bounds (Jerrum, Valiant and Vazirani): rung k's class is
+G_m(a^k, u), the last one is the single-sequence class G(a^p), and each
+ratio |C_{k+1}| / |C_k| is estimated from N exactly uniform draws out of
+C_k, whose hit count is drawn by its exact law, Binomial(N, ratio).
+Sampling unranks a uniform integer below |G(l,u)| through the same
+recursion (``oracle.graph_of_rank``); ``sample_realization`` does so on the
+box l = u = d, since G(d) is the interval class [d, d].
+
+The samplers and ``estimate_count_m`` draw from a numpy generator that the
+caller passes (``chains.make_rng``); ``estimate_count`` makes its own from
+a seed.
 """
 
 from __future__ import annotations
@@ -26,10 +30,6 @@ from . import oracle
 EXACT_SAMPLE_CAP = oracle.COUNT_CAP  # sample_realization's cap, the count recursion's
 
 
-class OddResidue(ValueError):
-    """Raised when a ladder cannot close the parity gap to the edge count."""
-
-
 class ZeroHits(RuntimeError):
     """Raised when ratio estimation sees no member of the subclass."""
 
@@ -39,8 +39,6 @@ class ZeroHits(RuntimeError):
 
 @lru_cache(maxsize=None)
 def _exact_interval_count_cached(lower, upper, m):
-    if len(lower) > oracle.COUNT_CAP:
-        raise oracle.TooLarge(f"exact interval counts supported for n <= {oracle.COUNT_CAP}")
     return oracle.count_interval(lower, upper, m)
 
 
@@ -83,11 +81,10 @@ def build_ladder(iv, m):
         raise Infeasible(f"no graphical sequence in the interval with {m} edges")
     a = list(iv.lower)
     rungs = [tuple(a)]
+    # a <= target and sum(target) = 2m, so while sum(a) < 2m some a_i < target_i
     while sum(a) < 2 * m:
         liftable = [i for i in range(iv.n) if a[i] < target[i]]
         residue = 2 * m - sum(a)
-        if not liftable:
-            raise OddResidue(f"cannot close residue {residue} toward {target}")
         if residue >= 2 and len(liftable) >= 2:
             a[liftable[0]] += 1
             a[liftable[1]] += 1
@@ -155,10 +152,9 @@ class CountEstimate:
         return json.dumps(self.to_dict())
 
 
-def estimate_count_m(iv, m, eps, delta, rng=None, seed=None):
-    """(eps, delta)-estimate of |G_m(l,u)| by telescoping membership ratios."""
-    if rng is None:
-        rng = make_rng(0 if seed is None else seed)
+def estimate_count_m(iv, m, eps, delta, rng):
+    """(eps, delta)-estimate of |G_m(l,u)| by telescoping membership ratios,
+    drawing from the generator rng."""
     try:
         ladder = build_ladder(iv, m)
     except Infeasible:
@@ -251,9 +247,7 @@ def sample_realization(d, rng):
     return _uniform_graph(d, d, rng)
 
 
-def sample_interval(iv, rng=None, seed=None):
-    """An exactly uniform draw from G(l,u); raises TooLarge above
-    ``oracle.COUNT_CAP`` nodes."""
-    if rng is None:
-        rng = make_rng(0 if seed is None else seed)
+def sample_interval(iv, rng):
+    """An exactly uniform draw from G(l,u) with the generator rng; raises
+    TooLarge above ``oracle.COUNT_CAP`` nodes."""
     return _uniform_graph(iv.lower, iv.upper, rng)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import itertools
 import os
+import re
 from dataclasses import dataclass, field
 
 
@@ -359,34 +360,52 @@ def intervals_from_observation(observed, missing):
 
 # --- file formats ------------------------------------------------------------
 #
-# Edge list: one "u v" pair per line, 0-based, '#' comments and blanks ignored.
+# Edge list: one "u v" pair per line, 0-based, '#' comments and blanks
+# ignored; a first line "# n=N" gives the node count.
 # Interval file: lines "i ell_i u_i".
 
+_N_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)\s*")
 
-def input_lines(path):
-    """(line number, line, fields) of each line of the input file at path
-    that has fields, '#' comments cut; ParseError, naming the path and, for
-    text that is not UTF-8, the line, if the file cannot be read."""
+
+def _input_text(path):
+    """The text of the input file at path; ParseError, naming the path and,
+    for text that is not UTF-8, the line, if the file cannot be read."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as e:
         raise ParseError(f"{path}: cannot open: {e.strerror}") from e
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as e:
         lineno = data.count(b"\n", 0, e.start) + 1
         raise ParseError(f"{path}:{lineno}: not UTF-8 text", lineno) from e
+
+
+def _field_lines(text):
     for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         fields = raw.split("#", 1)[0].split()
         if fields:
             yield lineno, raw, fields
 
 
-def read_edge_list(path, n=None):
+def input_lines(path):
+    """(line number, line, fields) of each line of the input file at path
+    that has fields, '#' comments cut; ParseError, naming the path and, for
+    text that is not UTF-8, the line, if the file cannot be read."""
+    return _field_lines(_input_text(path))
+
+
+def read_edge_list(path):
+    """The graph of an edge-list file.  Its node count is the "# n=N" header
+    that ``write_edge_list`` writes, so isolated nodes survive, and an edge
+    beyond it is a ParseError; without a header it is the largest label + 1."""
+    text = _input_text(path)
+    header = _N_HEADER.fullmatch(text.partition("\n")[0])
+    n = int(header[1]) if header else None
     pairs = []
     max_node = -1
-    for lineno, raw, parts in input_lines(path):
+    for lineno, raw, parts in _field_lines(text):
         if len(parts) != 2:
             raise ParseError(f"{path}:{lineno}: expected 'u v', got {raw!r}", lineno)
         try:
@@ -395,11 +414,11 @@ def read_edge_list(path, n=None):
             raise ParseError(f"{path}:{lineno}: non-integer node id in {raw!r}", lineno)
         if i == j or i < 0 or j < 0:
             raise ParseError(f"{path}:{lineno}: invalid edge ({i},{j})", lineno)
+        if n is not None and max(i, j) >= n:
+            raise ParseError(f"{path}:{lineno}: edge ({i},{j}) beyond the header's n={n}", lineno)
         pairs.append((i, j))
         max_node = max(max_node, i, j)
-    if n is None:
-        n = max_node + 1
-    return Graph.from_edges(n, pairs)
+    return Graph.from_edges(max_node + 1 if n is None else n, pairs)
 
 
 def write_edge_list(path, g):

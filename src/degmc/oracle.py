@@ -12,7 +12,9 @@ the profile (``edge_count_profile``) are one computation.
 graph, which is what the exact sampler draws.  All of it is meant for
 small n (enumeration is capped at n = 8, the count recursion at
 ``COUNT_CAP``) and is used to verify the provable properties of the
-samplers.
+samplers.  Every count, profile and walk enters the recursion through
+``_box_groups``, which checks the cap; it reads ``COUNT_CAP`` at each call,
+so setting ``oracle.COUNT_CAP`` higher lifts it for every entry point.
 
 Up to n = 7 every graph is in the cached ``census``, grouped by degree
 vector, so a space is a union of whole classes: ``enumerate_graphs``
@@ -315,13 +317,11 @@ def count_realizations(d):
     """Exact |G(d)|: ``count_interval`` on the box lower = upper = d, which
     is 0 if d is not graphical.  Independent of the enumeration path."""
     d = tuple(int(x) for x in d)
-    if len(d) > COUNT_CAP:
-        raise TooLarge(f"counting recursion supported for n <= {COUNT_CAP}")
     return count_interval(d, d)
 
 
 def count_interval(lower, upper, m=None):
-    """Exact |G(l,u)|, or |G_m(l,u)| given m, by node elimination; uncapped.
+    """Exact |G(l,u)|, or |G_m(l,u)| given m, by node elimination.
 
     The node with the smallest bounds (lo, hi) takes a degree k in [lo, hi]
     and k partners, whose bounds become (max(lo' - 1, 0), hi' - 1); the
@@ -333,12 +333,16 @@ def count_interval(lower, upper, m=None):
 
 
 def edge_count_profile(lower, upper):
-    """[|G_m(l,u)| from the first m where it is nonzero to the last]; uncapped."""
+    """[|G_m(l,u)| from the first m where it is nonzero to the last]."""
     return list(_profile(_box_groups(lower, upper))[1])
 
 
 def _box_groups(lower, upper):
-    """The memo key of the box [lower, upper]; ValueError if their lengths differ."""
+    """The memo key of the box [lower, upper]; ValueError if their lengths
+    differ.  Every count, profile and walk enters the recursion here, so
+    this is where it refuses boxes of more than ``COUNT_CAP`` nodes."""
+    if len(lower) > COUNT_CAP:
+        raise TooLarge(f"the count recursion takes n <= {COUNT_CAP}, got n={len(lower)}")
     return _node_groups(Counter(zip(lower, upper, strict=True)))
 
 
@@ -935,11 +939,10 @@ def find_alternating_path(g, u, v, k_max):
     return None
 
 
-def strongly_stable_condition(d, n=None):
+def strongly_stable_condition(d):
     """Sufficient inequality for strong stability with k = 10."""
     d = tuple(int(x) for x in d)
-    if n is None:
-        n = len(d)
+    n = len(d)
     dmin, dmax = min(d), max(d)
     return (dmax - dmin + 1) ** 2 <= 4 * dmin * (n - dmax - 1)
 

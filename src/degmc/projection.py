@@ -5,7 +5,8 @@ The graph chains project onto two coarser state spaces:
 * degree sequences with a fixed sum (one slice per edge count m), walked
   either by a Metropolis-Hastings single-unit exchange or by a heat-bath
   load-exchange step, both stationary for pi(d) proportional to a chosen
-  weight model; and
+  weight, a function of d alone (``weights.exact_log_weight``,
+  ``lw_log_weight`` or ``slc_log_weight``); and
 * edge counts themselves, walked by a lazy birth-death chain whose
   mixing is controlled by log-concavity of the per-count weights.
 
@@ -19,13 +20,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .graphs import DegreeInterval
-from .weights import WeightModel
+from .weights import exact_log_weight
 
 
 class MixedSums(ValueError):
@@ -78,6 +80,7 @@ def feasible_edge_counts(iv):
 class DegreeSpace:
     """Degree sequences in an interval box with a fixed sum and positive weight.
 
+    ``weight`` is a log weight of d alone, exact (|G(d)|) by default.
     Membership and weights are computed on demand by ``log_weight``; only
     ``elements``, ``index``, ``log_weights``, ``len`` and ``stationary``
     enumerate the slice, once, so the step functions run at any n.
@@ -85,7 +88,7 @@ class DegreeSpace:
 
     interval: DegreeInterval
     m: int
-    model: WeightModel = field(default_factory=WeightModel)
+    weight: Callable = exact_log_weight
 
     @property
     def n(self):
@@ -96,7 +99,7 @@ class DegreeSpace:
         d = tuple(d)
         if sum(d) != 2 * self.m or not self.interval.contains(d):
             return -math.inf
-        return self.model.log_weight(d)
+        return self.weight(d)
 
     def __contains__(self, d):
         return self.log_weight(d) > -math.inf

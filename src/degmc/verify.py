@@ -21,7 +21,7 @@ import numpy as np
 from . import oracle, projection
 from .chains import DegreeIntervalKernel, SwitchHingeFlipKernel, SwitchKernel
 from .graphs import DegreeInterval, NearRegularParams, is_graphical
-from .weights import DegenerateDensity, WeightModel, lw_log_weight, sequence_stats
+from .weights import DegenerateDensity, lw_log_weight, sequence_stats
 
 # --- instance families -------------------------------------------------------
 
@@ -75,7 +75,7 @@ def qualifying_sequences(n):
     """Sorted graphical sequences that meet the strong-stability inequality."""
     out = []
     for d in itertools.combinations_with_replacement(range(1, n - 1), n):
-        if is_graphical(d) and oracle.strongly_stable_condition(d, n):
+        if is_graphical(d) and oracle.strongly_stable_condition(d):
             out.append(d)
     return out
 
@@ -167,14 +167,8 @@ def check_irreducible(iv):
     return [_record(_label(iv), "state-graph components", 1, int(ncomp), ncomp == 1)]
 
 
-def _profile(iv):
-    if iv.n > oracle.COUNT_CAP:
-        raise oracle.TooLarge(f"edge-count profiles supported for n <= {oracle.COUNT_CAP}")
-    return oracle.edge_count_profile(iv.lower, iv.upper)
-
-
 def check_logconcave(iv):
-    w = _profile(iv)
+    w = oracle.edge_count_profile(iv.lower, iv.upper)
     if not w:
         return []
     ok, where = oracle.verify_log_concave(w)
@@ -184,7 +178,7 @@ def check_logconcave(iv):
 def check_congestion(iv):
     """The birth-death walk on the edge-count profile meets its log-concave
     gap bound and the canonical-path bound 1 / (sigma * ell)."""
-    w = _profile(iv)
+    w = oracle.edge_count_profile(iv.lower, iv.upper)
     if len(w) < 2 or any(x <= 0 for x in w):
         return []
     rep = oracle.congestion_check(projection.edge_count_matrix(w), np.asarray(w, dtype=float) / sum(w))
@@ -230,7 +224,7 @@ def check_projection(iv):
     support and agree within a factor n^3."""
     records = []
     for m in projection.feasible_edge_counts(iv):
-        sp = projection.DegreeSpace(iv, m, WeightModel("exact"))
+        sp = projection.DegreeSpace(iv, m)
         if len(sp) < 2:
             continue
         counts = np.array([oracle.count_realizations(d) for d in sp.elements()], dtype=float)

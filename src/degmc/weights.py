@@ -1,15 +1,17 @@
 """Weight models for degree sequences.
 
-Three interchangeable ways to weight a degree sequence d, used by the
-projected chains and the counting estimators:
+Three interchangeable log weights of a degree sequence d, each a function
+of d alone, which the projected chains take (``projection.DegreeSpace``):
 
-* ``exact`` -- the exact number of labeled simple graphs realizing d, via
-  the independent counting recursion (small n only).
-* ``lw`` -- the binomial-model asymptotic estimate of that count, with the
-  variance correction exp(-s(d)^2).
-* ``slc`` -- the same estimate without the correction term and with the
-  edge density fixed by a target edge count m; within a fixed-m slice this
-  variant is strongly log-concave, which the projected samplers exploit.
+* ``exact_log_weight`` -- the log of the exact number of labeled simple
+  graphs realizing d, via the independent counting recursion (small n
+  only).
+* ``lw_log_weight`` -- the binomial-model asymptotic estimate of that
+  count, with the variance correction exp(-s(d)^2).
+* ``slc_log_weight`` -- the same estimate without the correction term, with
+  the edge density of d's own edge count m = sum(d) / 2; within a fixed-m
+  slice this variant is strongly log-concave, which the projected samplers
+  exploit.
 
 All computation is in log space.  ``gammaln`` is imported from
 ``scipy.special`` at its one use, so only ``lw`` and ``slc`` weights load it.
@@ -22,13 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import oracle
+
 
 class DegenerateDensity(ValueError):
     """Raised when the edge density mu is 0 or 1 (empty/complete graph)."""
-
-
-class SumMismatch(ValueError):
-    """Raised when a degree sum does not match the required edge count."""
 
 
 @dataclass(frozen=True)
@@ -90,49 +90,22 @@ def lw_log_weight(d):
     )
 
 
-def slc_log_weight(d, m):
-    """Log of the strongly log-concave surrogate weight at edge count m.
+def slc_log_weight(d):
+    """Log of the strongly log-concave surrogate weight on d's slice.
 
-    Drops the dispersion correction and pins the density to
-    mu = 2m / (n(n-1)), so the weight is a product of per-coordinate
-    binomials times a constant on the slice sum(d) = 2m.
+    Drops the dispersion correction and pins the density to that of the
+    slice's edge count m = sum(d) / 2, mu = 2m / (n(n-1)), so the weight is
+    a product of per-coordinate binomials times a constant on the slice.
     """
     d = tuple(int(x) for x in d)
     n = len(d)
-    if sum(d) != 2 * m:
-        raise SumMismatch(f"sum(d)={sum(d)} but 2m={2 * m}")
-    mu = 2.0 * m / (n * (n - 1))
+    mu = sum(d) / (n * (n - 1))
     if mu <= 0.0 or mu >= 1.0:
         raise DegenerateDensity(f"edge density mu={mu} is degenerate")
     return 0.5 * math.log(2.0) + 0.25 + _entropy_term(mu, n) + _log_binom_sum(d, n)
 
 
-@dataclass(frozen=True)
-class WeightModel:
-    """Dispatch wrapper: kind is one of "exact", "lw", "slc".
-
-    "slc" requires the edge count m.  log_weight returns -inf for
-    sequences of exact weight zero (non-graphical under "exact").
-    """
-
-    kind: str = "exact"
-    m: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("exact", "lw", "slc"):
-            raise ValueError(f"unknown weight model {self.kind!r}")
-        if self.kind == "slc" and self.m is None:
-            raise ValueError("slc weights need the edge count m")
-
-    def log_weight(self, d):
-        if self.kind == "exact":
-            from . import oracle
-
-            c = oracle.count_realizations(d)
-            return math.log(c) if c > 0 else -math.inf
-        if self.kind == "lw":
-            return lw_log_weight(d)
-        return slc_log_weight(d, self.m)
-
-    def weight(self, d):
-        return math.exp(self.log_weight(d))
+def exact_log_weight(d):
+    """log |G(d)| by the count recursion; -inf where d has no realization."""
+    c = oracle.count_realizations(d)
+    return math.log(c) if c > 0 else -math.inf

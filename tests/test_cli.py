@@ -1,4 +1,4 @@
-"""Command-line interface: subcommands, precedence, exit codes."""
+"""Command-line interface: subcommands, settings, exit codes."""
 
 import itertools
 import json
@@ -42,13 +42,6 @@ def triangle(tmp_path):
     return str(p)
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    for k in list(os.environ):
-        if k.startswith("DEGMC_"):
-            monkeypatch.delenv(k)
-
-
 class TestIngest:
     def test_triangle_zeros(self, triangle, tmp_path, capsys):
         miss = tmp_path / "miss.txt"
@@ -58,6 +51,16 @@ class TestIngest:
         assert rc == EXIT_OK
         iv = read_intervals(out)
         assert iv.lower == iv.upper == (2, 2, 2)
+
+    def test_node_without_observed_edges(self, tmp_path):
+        """A node named only in the missing-count file is a node of the
+        observed graph with degree 0, the partially observed case."""
+        edges, miss, out = tmp_path / "g.edges", tmp_path / "miss.txt", tmp_path / "out.iv"
+        edges.write_text("0 1\n1 2\n")
+        miss.write_text("0 1\n3 1\n")
+        assert main(["ingest", str(edges), str(miss), "--output", str(out)]) == EXIT_OK
+        iv = read_intervals(out)
+        assert iv.lower == (1, 2, 1, 0) and iv.upper == (2, 2, 1, 1)
 
     def test_malformed_line(self, triangle, tmp_path):
         miss = tmp_path / "miss.txt"
@@ -99,7 +102,7 @@ class TestIngest:
         assert rc == EXIT_OK
         iv = read_intervals(out)
         for k in range(5):
-            g = read_edge_list(f"{base}_{k:04d}.edges", n=3)
+            g = read_edge_list(f"{base}_{k:04d}.edges")
             assert iv.contains_graph(g)
 
 
@@ -155,7 +158,7 @@ class TestSample:
                    "--count", "3", "--seed", "9", "--output", base])
         assert rc == EXIT_OK
         for k in range(3):
-            g = read_edge_list(f"{base}_{k:04d}.edges", n=3)
+            g = read_edge_list(f"{base}_{k:04d}.edges")
             assert g.degree_sequence() == (2, 2, 2)
 
     def test_manifest_and_determinism(self, iv5, tmp_path):
@@ -384,26 +387,24 @@ class TestVerify:
         assert main(["verify", "logconcave"]) == EXIT_VERIFY_FAIL
 
 
-class TestPrecedence:
-    def test_env_used_when_flag_absent(self, iv5, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("DEGMC_SEED", "123")
-        base = str(tmp_path / "e")
-        assert main(["sample", iv5, "--chain", "interval", "--steps", "50",
-                     "--output", base]) == EXIT_OK
-        man = json.load(open(f"{base}_manifest.json"))
-        assert man["seed"] == 123
-
-    def test_flag_beats_env(self, iv5, tmp_path, monkeypatch):
-        monkeypatch.setenv("DEGMC_SEED", "123")
-        base = str(tmp_path / "f")
-        assert main(["sample", iv5, "--chain", "interval", "--steps", "50",
-                     "--seed", "7", "--output", base]) == EXIT_OK
-        man = json.load(open(f"{base}_manifest.json"))
-        assert man["seed"] == 7
-
-    def test_bad_env_value(self, iv5, monkeypatch):
-        monkeypatch.setenv("DEGMC_STEPS", "many")
-        assert main(["sample", iv5, "--chain", "interval"]) == EXIT_PARSE
+def test_environment_changes_no_run(iv5, tmp_path, monkeypatch):
+    """Flags are the only settings: with DEGMC_* variables set, even to
+    values no flag accepts, sample and count write what they write without
+    them, and the manifest names the defaults that replay the run."""
+    env = {"DEGMC_SEED": "123", "DEGMC_STEPS": "many", "DEGMC_EPS": "2",
+           "DEGMC_DELTA": "0.5", "DEGMC_CHAIN": "bogus"}
+    runs = []
+    for k, setting in enumerate(({}, env)):
+        for name, value in setting.items():
+            monkeypatch.setenv(name, value)
+        base, count = str(tmp_path / f"s{k}"), str(tmp_path / f"c{k}.json")
+        assert main(["sample", iv5, "--steps", "50", "--count", "2", "--output", base]) == EXIT_OK
+        assert main(["count", iv5, "--output", count]) == EXIT_OK
+        manifest = json.load(open(f"{base}_manifest.json"))
+        files = [open(f).read() for f in manifest.pop("files")]
+        runs.append((manifest, files, open(count).read()))
+    assert runs[1] == runs[0]
+    assert runs[1][0]["chain"] == "interval" and runs[1][0]["seed"] == 0
 
 
 # Runs cli.main on each argument list of argv[1] (JSON) in one process, then

@@ -56,7 +56,7 @@ def test_sample_interval(tmp_path, n):
     """sample_interval on [2,3]^n, seed 5: exact draws (count-recursion
     walks) at n = 6 and n = 9."""
     path = tmp_path / "draw.edges"
-    write_edge_list(path, sample_interval(DegreeInterval((2,) * n, (3,) * n), seed=5))
+    write_edge_list(path, sample_interval(DegreeInterval((2,) * n, (3,) * n), make_rng(5)))
     assert sha(path) == DRAW[n]
 
 

@@ -302,6 +302,18 @@ class TestFiles:
         write_edge_list(path, g)
         assert read_edge_list(path) == g
 
+    def test_edge_list_keeps_isolated_nodes(self, tmp_path):
+        """The "# n=N" header sets the node count, past the largest label;
+        an edge beyond it is a ParseError naming its line."""
+        path = tmp_path / "g.edges"
+        for g in (Graph.from_edges(5, [(0, 1)]), Graph.empty(3)):
+            write_edge_list(path, g)
+            assert read_edge_list(path) == g
+        path.write_text("# n=3\n0 1\n1 3\n")
+        with pytest.raises(ParseError, match="n=3") as ei:
+            read_edge_list(path)
+        assert ei.value.line_number == 3
+
     def test_edge_list_overwrite(self, tmp_path):
         """Rewriting a file with a shorter edge list leaves only the new one."""
         path = tmp_path / "g.edges"

@@ -66,13 +66,24 @@ class TestMasks:
 
     def test_popcount_fallback(self, monkeypatch):
         # numpy < 2.0 has no bitwise_count; the byte table is its only path
-        masks = make_rng(3).integers(0, 1 << 62, size=2000, dtype=np.int64)
-        masks = np.concatenate([masks, [0, (1 << 62) - 1]])
+        masks = make_rng(3).integers(0, 1 << 63, size=2000, dtype=np.int64)
+        masks = np.concatenate([masks, [0, (1 << 62) - 1, (1 << 63) - 1]])
         want = np.bitwise_count(masks)
         monkeypatch.delattr(np, "bitwise_count")
         got = oracle._popcount(masks)
         assert np.array_equal(got, want)
-        assert got[-2:].tolist() == [0, 62]
+        assert got.tolist() == [int(x).bit_count() for x in masks.tolist()]
+        assert got[-3:].tolist() == [0, 62, 63]
+
+    def test_popcount_fallback_census_and_degrees(self, monkeypatch):
+        """The census and a space's degree vectors come out the same on the
+        byte-table path as on numpy's bitwise_count."""
+        space = enumerate_graphs(6, interval=DegreeInterval((1,) * 6, (3,) * 6))
+        want_census, want_degrees = census.__wrapped__(5), space.degrees()
+        monkeypatch.delattr(np, "bitwise_count")
+        for got, want in zip(census.__wrapped__(5), want_census):
+            assert np.array_equal(got, want)
+        assert np.array_equal(space.degrees(), want_degrees)
 
 
 def bit_degrees(masks, n):
@@ -278,6 +289,20 @@ class TestCounting:
     def test_cap(self):
         with pytest.raises(TooLarge):
             count_realizations((1,) * 13)
+
+    def test_cap_on_every_entry_point(self, monkeypatch):
+        """count_interval, edge_count_profile and graph_of_rank refuse a
+        box above COUNT_CAP too; raising COUNT_CAP lifts it for all four."""
+        lo, hi = (2,) * 13, (3,) * 13
+        calls = (lambda: oracle.count_interval(lo, hi), lambda: oracle.count_interval(lo, hi, 16),
+                 lambda: oracle.edge_count_profile(lo, hi), lambda: graph_of_rank(lo, hi, None, 0),
+                 lambda: count_realizations(hi))
+        for call in calls:
+            with pytest.raises(TooLarge):
+                call()
+        monkeypatch.setattr(oracle, "COUNT_CAP", 13)
+        for call in calls:
+            call()
 
     def test_mismatched_bound_lengths(self):
         """Bounds of unequal lengths are refused, not cut to the shorter."""

@@ -1,7 +1,9 @@
-"""The names the benchmark reads from the package still exist."""
+"""The names the benchmark reads from the package still exist, and its
+calls still bind to their signatures."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 from degmc import oracle
@@ -27,3 +29,26 @@ def test_trace_targets_resolve():
     # perfbench/workloads.py compares each space's size with it to pick the
     # spaces that get a gap and a curve
     assert isinstance(oracle.DENSE_LIMIT, int)
+
+
+def test_call_forms_bind():
+    """Every call form perfbench/workloads.py makes binds to the package's
+    current signatures, so a signature change that would break the frozen
+    benchmark fails here."""
+    from degmc import chains, counting, graphs, projection
+
+    iv, rng = object(), object()
+    forms = [
+        (counting.sample_interval, (iv,), {"rng": rng}),
+        (counting.estimate_count, (iv, 0.1, 0.05), {"seed": 0}),
+        (oracle.enumerate_graphs, (7,), {"d": (2,) * 7}),
+        (oracle.enumerate_graphs, (7,), {"interval": iv, "m": 7}),
+        (oracle.enumerate_graphs, (7,), {"interval": iv}),
+        (chains.run_with_rng, (object(), object(), 100, rng), {}),
+        (oracle.state_graph_components, (object(), ("switch",)), {}),
+        (oracle.tv_curve, (object(), 0, 10), {}),
+        (graphs.realize_in_interval, (iv, 7), {}),
+        (projection.feasible_edge_counts, (iv,), {}),
+    ]
+    for fn, args, kwargs in forms:
+        inspect.signature(fn).bind(*args, **kwargs)

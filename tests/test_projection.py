@@ -25,7 +25,7 @@ from degmc.projection import (
     load_exchange_step,
     logconcave_gap_bound,
 )
-from degmc.weights import WeightModel
+from degmc.weights import slc_log_weight
 
 IV5 = DegreeInterval((1,) * 5, (3,) * 5)
 
@@ -48,7 +48,7 @@ class TestEnumeration:
         assert feasible_edge_counts(iv)[0] == 3
 
     def test_degree_space_filters_nongraphical(self):
-        sp = DegreeSpace(IV5, 3, WeightModel("exact"))
+        sp = DegreeSpace(IV5, 3)
         for d in sp.elements():
             assert oracle.count_realizations(d) > 0
         assert len(sp) == len(set(sp.elements()))
@@ -56,12 +56,12 @@ class TestEnumeration:
 
 @pytest.fixture(scope="module")
 def hinge_space():
-    return DegreeSpace(IV5, 4, WeightModel("exact"))
+    return DegreeSpace(IV5, 4)
 
 
 @pytest.fixture(scope="module")
 def exchange_space():
-    return DegreeSpace(IV5, 5, WeightModel("exact"))
+    return DegreeSpace(IV5, 5)
 
 
 class TestHingeProjection:
@@ -144,7 +144,7 @@ class TestOnDemand:
         lower = rng.integers(4, 6, size=300)
         iv = DegreeInterval(tuple(lower), tuple(lower + rng.integers(0, 2, size=300)))
         m = (sum(iv.lower) + sum(iv.upper)) // 4
-        space = DegreeSpace(iv, m, WeightModel("slc", m))
+        space = DegreeSpace(iv, m, slc_log_weight)
         d = _feasible_sequence(iv, m)
         rng = make_rng(3)
         for step, steps in ((hinge_projection_step, 1000), (load_exchange_step, 50)):

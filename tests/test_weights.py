@@ -7,11 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from degmc.graphs import DegreeInterval
 from degmc.oracle import count_realizations
+from degmc.projection import DegreeSpace
 from degmc.weights import (
     DegenerateDensity,
-    SumMismatch,
-    WeightModel,
+    _entropy_term,
+    _log_binom_sum,
+    exact_log_weight,
     lw_log_weight,
     sequence_stats,
     slc_log_weight,
@@ -65,18 +68,26 @@ class TestFormula:
     def test_slc_equals_lw_for_regular(self):
         # regular sequences have s = 0 and mu = 2m/(n(n-1)) already
         d = (2, 2, 2, 2)
-        assert slc_log_weight(d, 4) == pytest.approx(lw_log_weight(d))
+        assert slc_log_weight(d) == pytest.approx(lw_log_weight(d))
 
-    def test_slc_sum_mismatch(self):
-        with pytest.raises(SumMismatch):
-            slc_log_weight((2, 2, 2, 2), 5)
+    @given(st.integers(2, 12).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    @settings(max_examples=200, deadline=None)
+    def test_slc_reads_m_from_the_sum(self, d):
+        """slc's density Σd / (n(n-1)) is bit for bit the 2.0·m / (n(n-1))
+        of an edge count m = Σd / 2 given beside d."""
+        n = len(d)
+        assume(sum(d) % 2 == 0 and 0 < sum(d) < n * (n - 1))
+        mu = 2.0 * (sum(d) // 2) / (n * (n - 1))
+        by_m = 0.5 * math.log(2.0) + 0.25 + _entropy_term(mu, n) + _log_binom_sum(d, n)
+        assert slc_log_weight(d) == by_m
 
     def test_slc_ratio_free_of_dispersion(self):
         """Within a slice, slc ratios depend only on the binomial product."""
         n = 6
         d1, d2 = (2, 2, 2, 2, 3, 3), (2, 2, 2, 2, 2, 4)
         m = sum(d1) // 2
-        diff = slc_log_weight(d1, m) - slc_log_weight(d2, m)
+        assert sum(d1) == sum(d2) == 2 * m
+        diff = slc_log_weight(d1) - slc_log_weight(d2)
         from scipy.special import gammaln
 
         def lb(d):
@@ -87,20 +98,17 @@ class TestFormula:
 
 class TestWeightModel:
     def test_exact(self):
-        wm = WeightModel("exact")
-        assert wm.weight((2, 2, 2, 2)) == pytest.approx(3.0)
-        assert wm.log_weight((1, 1, 1)) == -math.inf  # odd sum
-
-    def test_dispatch_validation(self):
-        with pytest.raises(ValueError):
-            WeightModel("bogus")
-        with pytest.raises(ValueError):
-            WeightModel("slc")
+        assert math.exp(exact_log_weight((2, 2, 2, 2))) == pytest.approx(3.0)
+        assert exact_log_weight((1, 1, 1)) == -math.inf  # odd sum
 
     def test_lw_and_slc_dispatch(self):
-        d = (2, 2, 2, 2)
-        assert WeightModel("lw").log_weight(d) == pytest.approx(lw_log_weight(d))
-        assert WeightModel("slc", m=4).log_weight(d) == pytest.approx(slc_log_weight(d, 4))
+        """A DegreeSpace weighs its members by the function it is given,
+        exact by default, and gives -inf off its slice."""
+        iv, d = DegreeInterval((1,) * 4, (3,) * 4), (2, 2, 2, 2)
+        assert DegreeSpace(iv, 4).log_weight(d) == exact_log_weight(d)
+        for weight in (lw_log_weight, slc_log_weight):
+            assert DegreeSpace(iv, 4, weight).log_weight(d) == weight(d)
+            assert DegreeSpace(iv, 5, weight).log_weight(d) == -math.inf
 
     @given(st.lists(st.integers(1, 4), min_size=5, max_size=7))
     @example([4, 4, 4, 4, 4])
