@@ -1,14 +1,16 @@
-"""Approximate counting via a telescoping ladder of tightened lower bounds.
+"""Counting: the exact count, and the telescoping ladder behind the FPRAS.
 
 Shows the per-edge-count class sizes (and their log-concavity), one
-ladder in detail with its per-rung ratios, and the final estimate
-compared against the exhaustive count.
+ladder in detail: its rungs, their exact ratios and the binomial law by
+which the approximate counter estimates each ratio, and the telescoped
+estimate against the exact total that ``count`` reports.
 """
 
 import math
 
 from degmc import oracle
-from degmc.counting import build_ladder, estimate_count, exact_interval_count
+from degmc.chains import make_rng
+from degmc.counting import build_ladder, estimate_count, estimate_ratio, exact_interval_count, ratio_sample_size
 from degmc.graphs import DegreeInterval
 from degmc.projection import edge_count_matrix, feasible_edge_counts, logconcave_gap_bound
 
@@ -27,16 +29,19 @@ print(f"edge-count chain: gap {gap:.4f} >= guaranteed {logconcave_gap_bound(prof
 
 m = 5
 ladder = build_ladder(iv, m)
-print(f"\nladder for m={m}: {ladder.num_ratios} ratios")
-for a, b in zip(ladder.rungs, ladder.rungs[1:]):
-    na = exact_interval_count(DegreeInterval(a, iv.upper), m)
-    nb = exact_interval_count(DegreeInterval(b, iv.upper), m)
-    print(f"  {a} -> {b}: ratio {nb}/{na} = {nb / na:.4f}")
-final = oracle.count_realizations(ladder.final_sequence)
-print(f"final pinned class {ladder.final_sequence}: exactly {final} graphs")
+sizes = [exact_interval_count(DegreeInterval(a, iv.upper), m) for a in ladder.rungs]
+q_hat = max(a / b for a, b in zip(sizes, sizes[1:]))
+n_per = ratio_sample_size(ladder.num_ratios, 0.1, 0.05, q_hat)
+print(f"\nladder for m={m}: {ladder.num_ratios} ratios, {n_per} draws per rung (eps 0.1, delta 0.05)")
+rng = make_rng(0)
+log_est = math.log(sizes[-1])
+for a, b, na, nb in zip(ladder.rungs, ladder.rungs[1:], sizes, sizes[1:]):
+    r, used = estimate_ratio(nb / na, n_per, rng)  # hits ~ Binomial(used, nb / na)
+    log_est -= math.log(r)
+    print(f"  {a} -> {b}: ratio {nb}/{na} = {nb / na:.4f}, estimated {r:.4f} from {used} draws")
+print(f"final pinned class {ladder.final_sequence}: exactly {sizes[-1]} graphs")
+print(f"telescoped estimate of |G_{m}|: {math.exp(log_est):.1f} vs exact {sizes[0]}")
 
 est = estimate_count(iv, eps=0.1, delta=0.05, seed=0)
 exact = exact_interval_count(iv)
-print(f"\nestimate: {math.exp(est.log_value):.1f} vs exact {exact} "
-      f"(rel err {abs(math.exp(est.log_value) - exact) / exact:.4f}, "
-      f"{est.samples_used} samples)")
+print(f"\ncount reports method {est.method!r}: log {est.log_value:.6f} = log {exact}")

@@ -7,8 +7,9 @@ no environment variable is read, so a command line and its inputs replay a
 run.
 
 Exit codes: 0 success, 1 verification failure, 2 infeasible instance,
-3 parse/usage error, 4 instance beyond an exact path's size cap,
-5 the count estimator drew no member of a subclass.
+3 parse/usage error, 4 instance beyond an exact path's size cap.  ``count``
+reports the exact count; it tests feasibility first, so an infeasible box
+exits 2 at any n and a feasible one above the cap exits 4.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INFEASIBLE = 2
 EXIT_PARSE = 3
 EXIT_TOO_LARGE = 4
-EXIT_NO_HITS = 5
 
 
 def _build_parser():
@@ -74,7 +74,7 @@ def _build_parser():
     sp.add_argument("--count", type=int, default=1, help="number of samples")
     common(sp)
 
-    sp = sub.add_parser("count", help="estimate the number of graphs in the class")
+    sp = sub.add_parser("count", help="count the graphs in the class")
     sp.add_argument("intervals")
     sp.add_argument("--eps", type=float, default=0.1)
     sp.add_argument("--delta", type=float, default=0.05)
@@ -294,9 +294,6 @@ def main(argv=None):
     except oracle.TooLarge as e:
         print(f"too large: {e}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except counting.ZeroHits as e:
-        print(f"no hits: {e}", file=sys.stderr)
-        return EXIT_NO_HITS
 
 
 if __name__ == "__main__":

@@ -1,19 +1,24 @@
-"""Approximate counting and exactly uniform sampling for degree intervals.
+"""Exact counts, exactly uniform draws and the counting ladder for degree
+intervals.
 
 Every exact number comes from the node-elimination recursion through one
 memoized entry point, ``exact_interval_count``; the recursion refuses boxes
-of more than ``oracle.COUNT_CAP`` nodes.  Counting telescopes over a ladder
-of tightening lower bounds (Jerrum, Valiant and Vazirani): rung k's class is
-G_m(a^k, u), the last one is the single-sequence class G(a^p), and each
-ratio |C_{k+1}| / |C_k| is estimated from N exactly uniform draws out of
-C_k, whose hit count is drawn by its exact law, Binomial(N, ratio).
-Sampling unranks a uniform integer below |G(l,u)| through the same
-recursion (``oracle.graph_of_rank``); ``sample_realization`` does so on the
-box l = u = d, since G(d) is the interval class [d, d].
+of more than ``oracle.COUNT_CAP`` nodes.  ``estimate_count`` and
+``estimate_count_m`` report that count (method "exact"), after an
+infeasibility test that runs before any recursion, so an infeasible box is
+"infeasible" at any n.  Sampling unranks a uniform integer below |G(l,u)|
+through the same recursion (``oracle.graph_of_rank``); ``sample_realization``
+does so on the box l = u = d, since G(d) is the interval class [d, d].  The
+samplers draw from a numpy generator that the caller passes
+(``chains.make_rng``).
 
-The samplers and ``estimate_count_m`` draw from a numpy generator that the
-caller passes (``chains.make_rng``); ``estimate_count`` makes its own from
-a seed.
+The ladder of Jerrum, Valiant and Vazirani is the approximate counter's
+sampling law, off the count path: ``build_ladder`` tightens the lower
+bounds, so that rung k's class is G_m(a^k, u) and the last one is the
+single-sequence class G(a^p), and the count telescopes over the ratios
+|C_{k+1}| / |C_k|.  ``estimate_ratio`` estimates one from N exactly uniform
+draws out of C_k, whose hit count it draws by its exact law,
+Binomial(N, ratio); ``ratio_sample_size`` sets N.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import DegreeInterval, Infeasible, _feasible_sequence
-from .chains import make_rng
 from . import oracle
 
 EXACT_SAMPLE_CAP = oracle.COUNT_CAP  # sample_realization's cap, the count recursion's
@@ -152,69 +156,26 @@ class CountEstimate:
         return json.dumps(self.to_dict())
 
 
-def estimate_count_m(iv, m, eps, delta, rng):
-    """(eps, delta)-estimate of |G_m(l,u)| by telescoping membership ratios,
-    drawing from the generator rng."""
-    try:
-        ladder = build_ladder(iv, m)
-    except Infeasible:
+def _exact_estimate(feasible, iv, m, eps, delta):
+    if not feasible:
         return CountEstimate(-math.inf, eps, delta, method="infeasible")
-    # rung k's class is G_m(a^k, u); the last, whose lower bounds sum to 2m,
-    # is the single-sequence class G(a^p)
-    sizes = [_exact_interval_count_cached(a, iv.upper, m) for a in ladder.rungs]
-    log_est = math.log(sizes[-1])
-    if ladder.num_ratios == 0:
-        return CountEstimate(log_est, eps, delta, method="exact")
+    return CountEstimate(math.log(exact_interval_count(iv, m)), eps, delta, method="exact")
 
-    # worst exact inverse ratio calibrates the sample size
-    q_hat = max(a / b for a, b in zip(sizes, sizes[1:]))
-    n_per = ratio_sample_size(ladder.num_ratios, eps, delta, q_hat)
-    ratios = []
-    used = 0
-    for a, b in zip(sizes, sizes[1:]):
-        r, n_used = estimate_ratio(b / a, n_per, rng)
-        ratios.append(r)
-        used += n_used
-        log_est -= math.log(r)
-    return CountEstimate(
-        log_value=log_est,
-        eps=eps,
-        delta=delta,
-        method="ladder+exact",
-        samples_used=used,
-        ladder_length=ladder.num_ratios,
-        per_rung_ratios=tuple(ratios),
-    )
+
+def estimate_count_m(iv, m, eps, delta, rng):
+    """|G_m(l,u)|, exact, by the count recursion; method "infeasible" (no
+    graphical sequence of the box has m edges) before any recursion.  eps
+    and delta are echoed, and rng draws nothing."""
+    return _exact_estimate(_feasible_sequence(iv, m) is not None, iv, m, eps, delta)
 
 
 def estimate_count(iv, eps, delta, seed=None):
-    """(eps, delta)-estimate of |G(l,u)| as a sum over feasible edge counts.
-
-    The failure budget is split as delta / n^2 across the per-count
-    estimates, which dominates the number of feasible edge counts."""
+    """|G(l,u)|, exact, by the count recursion; method "infeasible" (no
+    feasible edge count) before any recursion.  eps and delta are echoed,
+    and seed draws nothing."""
     from .projection import feasible_edge_counts
 
-    rng = make_rng(0 if seed is None else seed)
-    counts = feasible_edge_counts(iv)
-    if not counts:
-        return CountEstimate(-math.inf, eps, delta, method="infeasible")
-    delta_prime = delta / (iv.n**2)
-    total = 0.0
-    used = 0
-    rungs = 0
-    for m in counts:
-        est = estimate_count_m(iv, m, eps, delta_prime, rng=rng)
-        used += est.samples_used
-        rungs += est.ladder_length
-        total += est.value
-    return CountEstimate(
-        log_value=math.log(total) if total > 0 else -math.inf,
-        eps=eps,
-        delta=delta,
-        method="ladder-sum",
-        samples_used=used,
-        ladder_length=rungs,
-    )
+    return _exact_estimate(bool(feasible_edge_counts(iv)), iv, None, eps, delta)
 
 
 # --- sampling ----------------------------------------------------------------

@@ -6,9 +6,11 @@ that ``degmc verify`` runs, at n = 4..6 unless the criterion names another
 range, and assert on their records.  Most instances come from the
 near-regular desk family: per-node intervals drawn (as multisets, by
 relabeling symmetry) from {[r,r], [r,r+1], [r+1,r+1]} for each feasible r.
-Criteria 11 and 12 are statistical.
+Criteria 11 and 12 are statistical: 11 calibrates the counting ladder's
+binomial ratio law, built here from exact rung sizes, and 12 the sampler.
 """
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -16,6 +18,7 @@ import numpy as np
 from degmc import counting, oracle, verify
 from degmc.chains import make_rng
 from degmc.graphs import DegreeInterval
+from degmc.projection import feasible_edge_counts
 
 
 def _report(capsys, criterion, passed, detail=""):
@@ -221,6 +224,28 @@ def test_criterion_10_formula_sanity(capsys):
 # --- criterion 11: count-estimator calibration -------------------------------
 
 
+def _ladder_estimate(iv, eps, delta, rng):
+    """The telescoped ladder estimate of |G(l,u)|: per feasible edge count
+    m, the exact last rung G(a^p) divided by one binomial ratio estimate per
+    rung, N draws each by ``ratio_sample_size`` at delta / n^2, and summed
+    over m.  The rung sizes are exact, so this calibrates the ladder's
+    sampling law alone."""
+    delta_m = delta / iv.n**2
+    total = 0.0
+    for m in feasible_edge_counts(iv):
+        ladder = counting.build_ladder(iv, m)
+        sizes = [counting.exact_interval_count(DegreeInterval(a, iv.upper), m) for a in ladder.rungs]
+        log_est = math.log(sizes[-1])
+        if ladder.num_ratios:
+            q_hat = max(a / b for a, b in zip(sizes, sizes[1:]))
+            n_per = counting.ratio_sample_size(ladder.num_ratios, eps, delta_m, q_hat)
+            for a, b in zip(sizes, sizes[1:]):
+                r, _ = counting.estimate_ratio(b / a, n_per, rng)
+                log_est -= math.log(r)
+        total += math.exp(log_est)
+    return total
+
+
 def test_criterion_11_count_calibration(capsys):
     reps = 200
     results = []
@@ -229,10 +254,12 @@ def test_criterion_11_count_calibration(capsys):
         DegreeInterval((2,) * 6, (3,) * 6),
     ):
         exact = counting.exact_interval_count(iv)
+        est = counting.estimate_count(iv, eps=0.1, delta=0.05, seed=0)
+        assert (est.method, est.log_value) == ("exact", math.log(exact))
         failures = 0
         for seed in range(reps):
-            est = counting.estimate_count(iv, eps=0.1, delta=0.05, seed=seed)
-            if abs(est.value - exact) > 0.1 * exact:
+            value = _ladder_estimate(iv, 0.1, 0.05, make_rng(seed))
+            if abs(value - exact) > 0.1 * exact:
                 failures += 1
         frac = failures / reps
         results.append((iv.n, frac))

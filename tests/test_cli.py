@@ -12,7 +12,6 @@ import pytest
 
 from degmc.cli import (
     EXIT_INFEASIBLE,
-    EXIT_NO_HITS,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_TOO_LARGE,
@@ -193,32 +192,34 @@ class TestSample:
         assert not (tmp_path / "neg_manifest.json").exists()
 
 
+def _exact_record(capsys, iv_path, m=None):
+    """The JSON record count printed, checked to be the exact count."""
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["method"] == "exact"
+    assert rec["log_value"] == math.log(exact_interval_count(read_intervals(iv_path), m))
+    assert (rec["samples_used"], rec["ladder_length"], rec["per_rung_ratios"]) == (0, 0, [])
+    return rec
+
+
 class TestCount:
     def test_unconstrained_n3(self, tmp_path, capsys):
         p = tmp_path / "iv.txt"
         p.write_text("0 0 2\n1 0 2\n2 0 2\n")
         rc = main(["count", str(p), "--eps", "0.1", "--delta", "0.05", "--seed", "0"])
         assert rc == EXIT_OK
-        rec = json.loads(capsys.readouterr().out)
-        assert rec["value_if_small"] == pytest.approx(8.0, rel=0.15)
+        rec = _exact_record(capsys, p)
+        assert rec["value_if_small"] == pytest.approx(8.0, rel=1e-12)
+        assert (rec["eps"], rec["delta"]) == (0.1, 0.05)
 
-    def test_m_flag(self, iv5, tmp_path, capsys):
-        rc = main(["count", iv5, "--m", "4", "--seed", "0"])
-        assert rc == EXIT_OK
-        rec = json.loads(capsys.readouterr().out)
-        from degmc.counting import exact_interval_count
-        from degmc.graphs import read_intervals as ri
-
-        exact = exact_interval_count(ri(iv5), 4)
-        assert rec["value_if_small"] == pytest.approx(exact, rel=0.15)
+    def test_m_flag(self, iv5, capsys):
+        assert main(["count", iv5, "--m", "4", "--seed", "0"]) == EXIT_OK
+        _exact_record(capsys, iv5, 4)
 
     def test_m_flag_n8(self, tmp_path, capsys):
         p = tmp_path / "iv8.txt"
         p.write_text("".join(f"{i} 2 3\n" for i in range(8)))
         assert main(["count", str(p), "--m", "10", "--seed", "3"]) == EXIT_OK
-        rec = json.loads(capsys.readouterr().out)
-        exact = exact_interval_count(read_intervals(p), 10)
-        assert abs(rec["log_value"] - math.log(exact)) <= rec["eps"]
+        _exact_record(capsys, p, 10)
 
     def test_output_file(self, iv5, tmp_path):
         out = tmp_path / "est.json"
@@ -230,14 +231,11 @@ class TestCount:
         assert main(["count", iv5, "--eps", "1.5"]) == EXIT_PARSE
 
     def test_beyond_enumeration_cap(self, tmp_path, capsys):
-        """[2,3]^9 has no enumeration; its rung classes are counted by the
-        recursion."""
+        """[2,3]^9 has no enumeration; the recursion counts it."""
         p = tmp_path / "iv.txt"
         p.write_text("".join(f"{i} 2 3\n" for i in range(9)))
         assert main(["count", str(p), "--seed", "0"]) == EXIT_OK
-        rec = json.loads(capsys.readouterr().out)
-        exact = exact_interval_count(read_intervals(p))
-        assert abs(rec["log_value"] - math.log(exact)) <= rec["eps"]
+        _exact_record(capsys, p)
 
     @pytest.mark.parametrize("m", [[], ["--m", "13"]], ids=["m-free", "m-13"])
     def test_beyond_count_cap(self, tmp_path, capsys, m):
@@ -246,15 +244,15 @@ class TestCount:
         assert main(["count", str(p), "--seed", "0", *m]) == EXIT_TOO_LARGE
         assert "too large" in capsys.readouterr().err
 
-    def test_no_subclass_hits(self, iv5, monkeypatch, capsys):
-        from degmc import counting
-
-        def no_hits(*args, **kwargs):
-            raise counting.ZeroHits("no subclass members in 8 draws")
-
-        monkeypatch.setattr(counting, "estimate_count", no_hits)
-        assert main(["count", iv5, "--seed", "0"]) == EXIT_NO_HITS
-        assert "no hits" in capsys.readouterr().err
+    @pytest.mark.parametrize("n", [5, 13])
+    @pytest.mark.parametrize("m", [[], ["--m", "2"]], ids=["m-free", "m-2"])
+    def test_infeasible_at_any_n(self, tmp_path, capsys, n, m):
+        """[1,1]^n with n odd has an odd degree sum, so no graph: count exits
+        2 before the recursion, above the count cap too."""
+        p = tmp_path / "iv.txt"
+        p.write_text("".join(f"{i} 1 1\n" for i in range(n)))
+        assert main(["count", str(p), *m]) == EXIT_INFEASIBLE
+        assert json.loads(capsys.readouterr().out)["method"] == "infeasible"
 
 
 class TestLadderCmd:

@@ -185,14 +185,14 @@ class TestEstimates:
 
     def test_per_m_accuracy(self):
         for m in feasible_edge_counts(IV5):
-            exact = exact_interval_count(IV5, m)
             est = estimate_count_m(IV5, m, 0.1, 0.05, make_rng(3))
-            assert abs(est.value - exact) <= 0.1 * exact
+            assert est.method == "exact"
+            assert est.log_value == math.log(exact_interval_count(IV5, m))
 
     def test_total_accuracy_and_schema(self):
-        exact = exact_interval_count(UNIT5)
         est = estimate_count(UNIT5, 0.1, 0.05, seed=7)
-        assert abs(est.value - exact) <= 0.1 * exact
+        assert (est.method, est.eps, est.delta) == ("exact", 0.1, 0.05)
+        assert est.log_value == math.log(exact_interval_count(UNIT5))
         d = est.to_dict()
         assert set(d) == {
             "log_value",
@@ -204,6 +204,7 @@ class TestEstimates:
             "ladder_length",
             "per_rung_ratios",
         }
+        assert (d["samples_used"], d["ladder_length"], d["per_rung_ratios"]) == (0, 0, [])
         import json
 
         assert json.loads(est.to_json()) == d
@@ -212,6 +213,16 @@ class TestEstimates:
         a = estimate_count(UNIT5, 0.1, 0.05, seed=5)
         b = estimate_count(UNIT5, 0.1, 0.05, seed=5)
         assert a.log_value == b.log_value
+
+    def test_count_adds_no_memo_state(self):
+        """On a box whose ladder rungs mix bound types, the count is the
+        exact count's own: it adds no recursion state beyond it."""
+        iv = DegreeInterval((3,) * 10, (5,) * 10)
+        exact = exact_interval_count(iv)
+        states = oracle._profile.cache_info().currsize
+        est = estimate_count(iv, 0.1, 0.05, seed=0)
+        assert oracle._profile.cache_info().currsize == states
+        assert est.log_value == math.log(exact)
 
 
 class TestSampling:

@@ -52,3 +52,20 @@ def test_call_forms_bind():
     ]
     for fn, args, kwargs in forms:
         inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_result_attributes_read():
+    """Every attribute the benchmark reads off a result (perfbench/spans.py
+    and perfbench/workloads.py) exists, on [1,2]^5."""
+    from degmc import counting
+    from degmc.chains import make_rng
+    from degmc.graphs import DegreeInterval
+
+    iv = DegreeInterval((1,) * 5, (2,) * 5)
+    exact = counting.exact_interval_count(iv)
+    assert abs(counting.estimate_count(iv, 0.1, 0.05, seed=0).value / exact - 1) < 1e-12
+    assert counting.estimate_count_m(iv, 4, 0.1, 0.05, make_rng(0)).samples_used == 0
+    assert counting.build_ladder(iv, 4).rungs[0] == iv.lower
+    assert counting.estimate_ratio(0.5, 100, make_rng(0))[1] == 100
+    g = counting.sample_interval(iv, rng=make_rng(0))
+    assert g.edges and g.n == 5
