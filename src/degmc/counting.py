@@ -2,15 +2,19 @@
 intervals.
 
 Every exact number comes from the node-elimination recursion through one
-memoized entry point, ``exact_interval_count``; the recursion refuses boxes
-of more than ``oracle.COUNT_CAP`` nodes.  ``estimate_count`` and
-``estimate_count_m`` report that count (method "exact"), after an
-infeasibility test that runs before any recursion, so an infeasible box is
+entry point, ``exact_interval_count``, which reads the count in the
+recursion's per-box memo (``oracle.box``); the recursion refuses boxes of
+more than ``oracle.COUNT_CAP`` nodes.  ``estimate_count`` and
+``estimate_count_m`` report that count (method "exact", kept as an
+integer), after an infeasibility test that runs before any recursion and
+stops at the first feasible edge count, so an infeasible box is
 "infeasible" at any n.  Sampling unranks a uniform integer below |G(l,u)|
-through the same recursion (``oracle.graph_of_rank``); ``sample_realization``
-does so on the box l = u = d, since G(d) is the interval class [d, d].  The
-samplers draw from a numpy generator that the caller passes
-(``chains.make_rng``).
+through the same recursion: one memo lookup gives the count and the start
+of the walk (``oracle.walk``), which follows each state's compiled plan and
+unranks each group's partners with O(k log L) binomials.
+``sample_realization`` does so on the box l = u = d, since G(d) is the
+interval class [d, d].  The samplers draw from a numpy generator that the
+caller passes (``chains.make_rng``).
 
 The ladder of Jerrum, Valiant and Vazirani is the approximate counter's
 sampling law, off the count path: ``build_ladder`` tightens the lower
@@ -26,7 +30,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .graphs import DegreeInterval, Infeasible, _feasible_sequence
 from . import oracle
@@ -41,9 +44,8 @@ class ZeroHits(RuntimeError):
 # --- exact desk-scale counts -------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _exact_interval_count_cached(lower, upper, m):
-    return oracle.count_interval(lower, upper, m)
+    return oracle.box(lower, upper, m).total
 
 
 def exact_interval_count(iv, m=None):
@@ -135,9 +137,12 @@ class CountEstimate:
     samples_used: int = 0
     ladder_length: int = 0
     per_rung_ratios: tuple = ()
+    count: int | None = None  # the exact count, for method "exact"
 
     @property
     def value(self):
+        if self.count is not None:
+            return self.count
         return math.exp(self.log_value) if self.log_value > -math.inf else 0.0
 
     def to_dict(self):
@@ -159,7 +164,8 @@ class CountEstimate:
 def _exact_estimate(feasible, iv, m, eps, delta):
     if not feasible:
         return CountEstimate(-math.inf, eps, delta, method="infeasible")
-    return CountEstimate(math.log(exact_interval_count(iv, m)), eps, delta, method="exact")
+    count = exact_interval_count(iv, m)
+    return CountEstimate(math.log(count), eps, delta, method="exact", count=count)
 
 
 def estimate_count_m(iv, m, eps, delta, rng):
@@ -171,11 +177,12 @@ def estimate_count_m(iv, m, eps, delta, rng):
 
 def estimate_count(iv, eps, delta, seed=None):
     """|G(l,u)|, exact, by the count recursion; method "infeasible" (no
-    feasible edge count) before any recursion.  eps and delta are echoed,
+    feasible edge count) before any recursion, which tests the edge counts
+    in turn and stops at the first feasible one.  eps and delta are echoed,
     and seed draws nothing."""
-    from .projection import feasible_edge_counts
-
-    return _exact_estimate(bool(feasible_edge_counts(iv)), iv, None, eps, delta)
+    ms = range((sum(iv.lower) + 1) // 2, sum(iv.upper) // 2 + 1)
+    feasible = any(_feasible_sequence(iv, m) is not None for m in ms)
+    return _exact_estimate(feasible, iv, None, eps, delta)
 
 
 # --- sampling ----------------------------------------------------------------
@@ -194,11 +201,11 @@ def _below(total, rng):
 
 def _uniform_graph(lower, upper, rng):
     """An exactly uniform draw from G(l,u): a uniform rank below the exact
-    count (memoized across draws), unranked through the same recursion."""
-    total = _exact_interval_count_cached(lower, upper, None)
-    if total == 0:
+    count, unranked through the same recursion; both read the box's memo."""
+    box = oracle.box(lower, upper)
+    if box.total == 0:
         raise Infeasible(f"no graph has degrees between {lower} and {upper}")
-    return oracle.graph_of_rank(lower, upper, None, _below(total, rng))
+    return oracle.walk(box, _below(box.total, rng))
 
 
 def sample_realization(d, rng):

@@ -83,7 +83,7 @@ class Graph:
 
         Each edge is read from its lower end's set.  The labels are checked
         with set operations and the edge set is built once, already
-        normalized, so ``__post_init__`` does not check every edge again.
+        normalized, and passed to ``_trusted``, so no edge is checked again.
         ValueError if a node is in its own set or a label is outside 0..n-1.
         """
         n = len(adj)
@@ -91,9 +91,15 @@ class Graph:
             raise ValueError(f"self-loop at node {next(i for i, row in enumerate(adj) if i in row)}")
         if not set().union(*adj) <= set(range(n)):
             raise ValueError(f"neighbor labels {sorted(set().union(*adj) - set(range(n)))} out of range for n={n}")
+        return cls._trusted(n, frozenset((i, j) for i, row in enumerate(adj) for j in row if i < j))
+
+    @classmethod
+    def _trusted(cls, n, edges):
+        """The graph on n nodes with edges, a frozenset of pairs i < j in
+        0..n-1 that the caller built so; nothing is checked again."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", frozenset((i, j) for i, row in enumerate(adj) for j in row if i < j))
+        object.__setattr__(g, "edges", edges)
         return g
 
     def with_edges(self, add=(), remove=()):

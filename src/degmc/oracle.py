@@ -13,8 +13,20 @@ graph, which is what the exact sampler draws.  All of it is meant for
 small n (enumeration is capped at n = 8, the count recursion at
 ``COUNT_CAP``) and is used to verify the provable properties of the
 samplers.  Every count, profile and walk enters the recursion through
-``_box_groups``, which checks the cap; it reads ``COUNT_CAP`` at each call,
-so setting ``oracle.COUNT_CAP`` higher lifts it for every entry point.
+``box``, which checks the cap; it reads ``COUNT_CAP`` at each call, so
+setting ``oracle.COUNT_CAP`` higher lifts it for every entry point.
+
+``box`` memoizes, per (lower, upper, m), the box's memo key, its count and
+the node labels of each group, so a draw loop reads all three with one
+lookup.  A walk (``walk``) reads, per state, a compiled plan (``_plan``):
+the running counts of the eliminations and, for each, the child, its count
+and one move per partner group (its partner count kt, the radix C(c, kt)
+and the child's groups that receive its kept and taken labels), so it
+calls no binomial to move labels.  The kt partners of a group of L labels
+are the lexicographic subset of the rank's digit below C(c, kt), unranked
+(``_split_rank``) by binary search in the combinatorial number system with
+O(kt log L) binomials, not one per label.  The walk collects normalized
+pairs and builds its ``Graph`` without checking them again.
 
 Up to n = 7 every graph is in the cached ``census``, grouped by degree
 vector, so a space is a union of whole classes: ``enumerate_graphs``
@@ -329,21 +341,45 @@ def count_interval(lower, upper, m=None):
     interchangeable, so a memo state is the multiset of bounds alone, and
     the partners are a count per group of equal bounds, weighted by a
     product of binomials.  A state's value is its edge-count profile."""
-    return _count(_box_groups(lower, upper), m)
+    return box(lower, upper, m).total
 
 
 def edge_count_profile(lower, upper):
     """[|G_m(l,u)| from the first m where it is nonzero to the last]."""
-    return list(_profile(_box_groups(lower, upper))[1])
+    return list(_profile(box(lower, upper, None).groups)[1])
 
 
-def _box_groups(lower, upper):
-    """The memo key of the box [lower, upper]; ValueError if their lengths
+class Box(NamedTuple):
+    """A box [lower, upper] (with m edges, or any if None) as the recursion
+    sees it: its memo key ``groups``, its count ``total``, and the node
+    labels of each group, in label order, that a walk starts from."""
+
+    n: int
+    m: int | None
+    groups: tuple
+    total: int
+    buckets: tuple
+
+
+def box(lower, upper, m=None):
+    """The memoized ``Box`` of [lower, upper]; ValueError if their lengths
     differ.  Every count, profile and walk enters the recursion here, so
     this is where it refuses boxes of more than ``COUNT_CAP`` nodes."""
     if len(lower) > COUNT_CAP:
         raise TooLarge(f"the count recursion takes n <= {COUNT_CAP}, got n={len(lower)}")
-    return _node_groups(Counter(zip(lower, upper, strict=True)))
+    return _box(tuple(lower), tuple(upper), m)
+
+
+# a draw loop reads one entry per box it draws from; the bound keeps a sweep
+# over many boxes (the verify families) from holding one entry for each
+@lru_cache(maxsize=256)
+def _box(lower, upper, m):
+    groups = _node_groups(Counter(zip(lower, upper, strict=True)))
+    labels = {}
+    for v, key in enumerate(zip(lower, upper)):
+        labels.setdefault(key, []).append(v)
+    buckets = tuple(tuple(labels[lo, hi]) for lo, hi, _ in groups)
+    return Box(len(lower), m, groups, _count(groups, m), buckets)
 
 
 def _node_groups(bounds):
@@ -410,65 +446,111 @@ def _partner_picks(k, caps):
 
 def graph_of_rank(lower, upper, m, r):
     """The r-th graph of G(l,u), or of G_m(l,u) given m, in the order of the
-    ``count_interval`` recursion; IndexError unless 0 <= r < the count.
-
-    Each node bound (lo, hi) keeps a bucket of node labels.  At each state
-    r picks an elimination by the cumulative counts of the eliminations;
-    the rest of r splits by divmod into the child's rank and an index below
-    ``ways``, which picks by mixed radix one subset of each group's labels
-    (lexicographic rank).  So a uniform r gives a uniform graph."""
-    groups = _box_groups(lower, upper)
-    if not 0 <= r < _count(groups, m):
+    ``count_interval`` recursion; IndexError unless 0 <= r < the count."""
+    b = box(lower, upper, m)
+    if not 0 <= r < b.total:
         raise IndexError(f"rank {r} outside G({lower},{upper})" + ("" if m is None else f", m={m}"))
-    labels = {}
-    for v, key in enumerate(zip(lower, upper)):
-        labels.setdefault(key, []).append(v)
-    edges = []
+    return walk(b, r)
+
+
+def walk(b, r):
+    """The r-th graph of the ``Box`` b, for 0 <= r < b.total.
+
+    Each group of the state keeps a bucket of node labels.  At each state r
+    picks an elimination by the cumulative counts of its ``_plan``; the
+    rest of r splits by divmod into the child's rank and an index below
+    ``ways``, which picks by mixed radix (the first group least
+    significant) one subset of each group's labels, in lexicographic rank.
+    The eliminated node is the last label of the first bucket; each group's
+    kept labels, then the taken labels lowered into its bounds, in group
+    order, are the child's buckets.  So a uniform r gives a uniform graph."""
+    groups, m = b.groups, b.m
+    buckets = [list(labels) for labels in b.buckets]
+    picked = []  # (node, partners) per elimination
+    bisect_right = bisect.bisect_right
     while groups:
-        steps, cum = _walk_steps(groups, m)
-        e = bisect.bisect_right(cum, r)
-        pick, child, m, sub = steps[e]
-        q, r = divmod(r - (cum[e - 1] if e else 0), sub)
-        v = labels[groups[0][:2]].pop()
-        moved = {}
-        for (a, b, _), kt in zip(groups if labels[groups[0][:2]] else groups[1:], pick):
-            nodes = labels[a, b]
-            q, qt = divmod(q, math.comb(len(nodes), kt))
-            take, keep = _split_rank(nodes, kt, qt)
-            edges.extend((v, x) for x in take)
-            moved.setdefault((a, b), []).extend(keep)
-            moved.setdefault((a - 1 if a else 0, b - 1), []).extend(take)
-        labels, groups = moved, child
-    return Graph(len(lower), frozenset(edges))
+        ends, steps = _plan(groups, m)
+        start, sub, groups, m, moves = steps[bisect_right(ends, r)]
+        q, r = divmod(r - start, sub)
+        v = buckets[0].pop()
+        child = [[] for _ in groups]
+        for t, kt, radix, keep_to, take_to in moves:
+            nodes = buckets[t]
+            if not kt:
+                child[keep_to] = nodes
+                continue
+            if radix == 1:  # every label is taken
+                take = nodes
+            else:
+                q, qt = divmod(q, radix)
+                take, child[keep_to] = _split_rank(nodes, kt, qt, radix)
+            picked.append((v, take))
+            if take_to is not None:
+                child[take_to] += take
+        buckets = child
+    return Graph._trusted(b.n, frozenset((v, x) if v < x else (x, v) for v, take in picked for x in take))
 
 
 @lru_cache(maxsize=None)
-def _walk_steps(groups, m):
-    """The non-empty eliminations of a state that a walk visits, as (pick,
-    child, child's edges left, child's count), with the running total of
-    graphs through each."""
-    steps, cum, total = [], [], 0
+def _plan(groups, m):
+    """A state's non-empty eliminations as a walk reads them: the running
+    total of graphs through each, and per elimination (graphs before it,
+    the child's count, the child, its edges left, moves).  A move is one
+    per partner group: its index t in ``groups``, the partners kt taken,
+    the radix C(c, kt) and the child's groups that receive its kept and
+    its taken labels (None: the taken labels drop to degree 0)."""
+    c = groups[0][2]
+    first = 0 if c > 1 else 1
+    sizes = [c - 1] + [c for _, _, c in groups[1:]]
+    ends, steps, total = [], [], 0
     for k, pick, ways, child in _eliminations(groups):
-        t = None if m is None else m - k
-        sub = _count(child, t)
-        if sub:
-            total += ways * sub
-            steps.append((pick, child, t, sub))
-            cum.append(total)
-    return steps, cum
+        t_m = None if m is None else m - k
+        sub = _count(child, t_m)
+        if not sub:
+            continue
+        index = {(a, b): i for i, (a, b, _) in enumerate(child)}
+        moves = tuple(
+            (t, kt, math.comb(sizes[t], kt), index.get((a, b)), index.get((a - 1 if a else 0, b - 1)))
+            for t, (a, b, _), kt in zip(range(first, len(groups)), groups[first:], pick)
+        )
+        steps.append((total, sub, child, t_m, moves))
+        total += ways * sub
+        ends.append(total)
+    return ends, steps
 
 
-def _split_rank(items, k, q):
-    """The q-th k-subset of items in lexicographic order, and the others."""
-    take, keep = [], []
-    for i, x in enumerate(items):
-        j = k - len(take)
-        first = math.comb(len(items) - i - 1, j - 1) if j else 0  # subsets whose next member is x
-        if q < first:
-            take.append(x)
-        else:
-            q -= first
-            keep.append(x)
+def _split_rank(items, k, q, size):
+    """The q-th k-subset of items in lexicographic order, and the others;
+    size is C(len(items), k).
+
+    Mirroring the indices, i -> L - 1 - i, turns lexicographic order into
+    reverse colexicographic order, so the mirrored indices c_k > ... > c_1
+    of the q-th subset write size - 1 - q in the combinatorial number
+    system, as the sum over j of C(c_j, j): by the hockey-stick identity,
+    with j members left to pick, C(L - 1 - i, j) subsets have their next
+    member past item i.  Each c_j is the largest c with C(c, j) at most what is left,
+    found by binary search, so a split reads O(k log L) binomials, not one
+    per item; k = 1 reads none."""
+    if k == 1:
+        return [items[q]], items[:q] + items[q + 1 :]
+    L = len(items)
+    rest = size - 1 - q
+    take, keep, prev, top = [], [], 0, L
+    for j in range(k, 0, -1):
+        lo, at_lo, hi = j - 1, 0, top - 1  # C(j - 1, j) = 0 <= rest < C(top, j)
+        while lo < hi:
+            mid = (lo + hi + 1) >> 1
+            x = math.comb(mid, j)
+            if x <= rest:
+                lo, at_lo = mid, x
+            else:
+                hi = mid - 1
+        rest -= at_lo
+        i = L - 1 - lo
+        keep += items[prev:i]
+        take.append(items[i])
+        prev, top = i + 1, lo
+    keep += items[prev:]
     return take, keep
 
 

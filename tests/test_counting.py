@@ -225,6 +225,57 @@ class TestEstimates:
         assert est.log_value == math.log(exact)
 
 
+    def test_exact_value_is_the_integer(self):
+        """An exact estimate keeps the count as an int, and its JSON prints it."""
+        iv = DegreeInterval((2,) * 6, (3,) * 6)
+        for est in (estimate_count(iv, 0.1, 0.05, seed=3), estimate_count_m(iv, 7, 0.1, 0.05, make_rng(0))):
+            assert est.method == "exact" and type(est.value) is int
+        assert estimate_count(iv, 0.1, 0.05).value == exact_interval_count(iv) == 1760
+        assert estimate_count(iv, 0.1, 0.05).to_dict()["value_if_small"] == 1760
+        assert estimate_count_m(iv, 7, 0.1, 0.05, make_rng(0)).value == exact_interval_count(iv, 7)
+
+    def test_infeasible_above_cap(self):
+        """The feasibility test runs before the recursion's cap: an odd-sum
+        box and an even-sum box with no graphical sequence, on 13 and 14
+        nodes, are "infeasible", not TooLarge."""
+        d = (13, 13) + (1,) * 12
+        for iv in (DegreeInterval((1,) * 13, (1,) * 13), DegreeInterval(d, d)):
+            assert iv.n > oracle.COUNT_CAP
+            est = estimate_count(iv, 0.1, 0.05)
+            assert (est.method, est.value) == ("infeasible", 0.0)
+
+    @pytest.mark.parametrize("lower, upper", [((0,) * 3, (2,) * 3), ((1, 0, 2), (1, 2, 2)), ((2,) * 6, (4,) * 6),
+                                              ((1,) * 5, (1,) * 5), ((3, 0, 0, 0), (3, 1, 1, 1)),
+                                              ((2, 0, 0), (2, 0, 0))])
+    def test_feasibility_matches_edge_counts(self, lower, upper):
+        """Stopping at the first feasible edge count decides as the whole
+        list of feasible edge counts does."""
+        iv = DegreeInterval(lower, upper)
+        want = "exact" if feasible_edge_counts(iv) else "infeasible"
+        assert estimate_count(iv, 0.1, 0.05).method == want
+
+    def test_count_leaves_projection_unloaded(self):
+        """estimate_count in a fresh interpreter loads no degmc.projection."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "import sys\n"
+            "from degmc.counting import estimate_count\n"
+            "from degmc.graphs import DegreeInterval\n"
+            "est = estimate_count(DegreeInterval((2,) * 7, (3,) * 7), 0.1, 0.05)\n"
+            "print(est.method, est.value, 'degmc.projection' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["exact", str(exact_interval_count(DegreeInterval((2,) * 7, (3,) * 7))), "False"]
+
+
 class TestSampling:
     def test_singleton_class(self):
         iv = DegreeInterval((2, 2, 2), (2, 2, 2))

@@ -28,7 +28,7 @@ SAMPLE = {
 }
 DRAW = {6: "530267513b6eb26b3f48cd0a594843a8a0572e35014b1a258b28418bc980db27",
         9: "f2fc61bf77d9ad55d1ece9a58e8dd8002beeffc327211ec6ac51b2bee54abe75"}
-ESTIMATE = "352dcb4ceffb79f871bb62e6d825aa435f40bca6f3c67e26d24a94efc74ea86d"
+ESTIMATE = "69f6469d515e3b1fae667868f48dca38f80c40d227194a0b2a5aff28c34394a9"
 
 
 def sha(path):
@@ -71,6 +71,7 @@ def test_sample_realization_chain():
 
 def test_estimate_count():
     """estimate_count on [2,3]^6, eps 0.1, delta 0.05, seed 3, as JSON: the
-    exact count, 1,760."""
+    exact count, whose ``value_if_small`` is the integer 1760."""
     est = estimate_count(DegreeInterval((2,) * 6, (3,) * 6), 0.1, 0.05, seed=3)
+    assert '"value_if_small": 1760,' in est.to_json()
     assert hashlib.sha256(est.to_json().encode()).hexdigest() == ESTIMATE

@@ -316,6 +316,94 @@ class TestCounting:
                 call()
 
 
+def _old_split_rank(items, k, q):
+    """The linear scan the unrank replaced: one binomial per item."""
+    take, keep = [], []
+    for i, x in enumerate(items):
+        j = k - len(take)
+        first = math.comb(len(items) - i - 1, j - 1) if j else 0  # subsets whose next member is x
+        if q < first:
+            take.append(x)
+        else:
+            q -= first
+            keep.append(x)
+    return take, keep
+
+
+class TestWalk:
+    # SHA-256 over the sorted edge list of graph_of_rank(lo, hi, m, r) for
+    # every rank r, with m = None and then every m of the profile, each m's
+    # block ended by "|"; recorded before the walk was compiled into plans
+    RANK_ORDER = {
+        ((1,) * 5, (3,) * 5): "6a16d1c1cd61d5b374d8bfabfec2d1214a3db89e5664b4a00e24d7ba75eb0d27",
+        ((2,) * 6, (3,) * 6): "7b46e2d1b8801b09ae88b0924947f991b5c6b82e1a65499f28db5a64f6581a68",
+        ((0, 1, 1, 2, 2, 3), (2, 2, 3, 3, 4, 4)): "5a636d16efb357b1fc79a0ec25ea6429b52dafe0c7a2c3914dd31a775f41fefb",
+        ((1,) * 7, (2,) * 7): "ab1786e32c54a0286e173ecf73fb656b04e09b0b8657554ebf9b4cfb8a098fef",
+    }
+
+    @pytest.mark.parametrize("lo, hi", RANK_ORDER)
+    def test_rank_order_pinned(self, lo, hi):
+        """Every rank maps to the same graph as before, for G(l,u) and
+        for each G_m(l,u)."""
+        import hashlib
+
+        h = hashlib.sha256()
+        profile = oracle.edge_count_profile(lo, hi)
+        first = next(m for m in itertools.count() if oracle.count_interval(lo, hi, m))
+        for m in [None, *range(first, first + len(profile))]:
+            for r in range(oracle.count_interval(lo, hi, m)):
+                h.update(repr(sorted(graph_of_rank(lo, hi, m, r).edges)).encode())
+            h.update(b"|")
+        assert h.hexdigest() == self.RANK_ORDER[lo, hi]
+
+    def test_split_rank_matches_combinations(self):
+        """Rank q is the q-th k-subset in itertools.combinations order, and
+        the others keep their order, for every L <= 12, k and q."""
+        for L in range(13):
+            items = [10 * x + 1 for x in range(L)]
+            for k in range(L + 1):
+                size = math.comb(L, k)
+                for q, want in enumerate(itertools.combinations(items, k)):
+                    take, keep = oracle._split_rank(items, k, q, size)
+                    assert take == list(want), (L, k, q)
+                    assert keep == [x for x in items if x not in want], (L, k, q)
+                assert q == size - 1
+
+    def test_split_rank_matches_linear_scan_at_200(self):
+        """On 200 labels, random ranks for k <= 6 split as the linear scan
+        splits them, at both ends of the range too."""
+        rng = make_rng(27)
+        items = [int(x) for x in rng.permutation(400)[:200]]
+        for k in range(1, 7):
+            size = math.comb(200, k)
+            qs = [0, size - 1] + [int(x) for x in rng.integers(0, size, size=60)]
+            for q in qs:
+                assert oracle._split_rank(items, k, q, size) == _old_split_rank(items, k, q), (k, q)
+
+    def test_box_memo_keeps_the_cap(self, monkeypatch):
+        """A box counted under a raised cap is refused again once the cap
+        is back: the memo sits behind the cap test."""
+        lo, hi = (0,) * 13, (1,) * 13
+        monkeypatch.setattr(oracle, "COUNT_CAP", 13)
+        assert oracle.count_interval(lo, hi) == sum(
+            math.comb(13, 2 * j) * math.prod(range(2 * j - 1, 0, -2)) for j in range(7)
+        )
+        monkeypatch.setattr(oracle, "COUNT_CAP", 12)
+        with pytest.raises(TooLarge):
+            oracle.count_interval(lo, hi)
+
+    def test_box_memo_is_shared(self):
+        """The count, the profile and the walk read one memo entry, whose
+        buckets are the labels of each group in label order."""
+        lo, hi = (0, 2, 1, 2, 0), (1, 3, 2, 3, 0)
+        b = oracle.box(lo, hi)
+        assert oracle.box(list(lo), list(hi)) is b
+        assert b.groups == ((0, 1, 1), (1, 2, 1), (2, 3, 2))
+        assert b.buckets == ((0,), (2,), (1, 3))
+        assert b.total == oracle.count_interval(lo, hi) == sum(oracle.edge_count_profile(lo, hi))
+        assert [oracle.walk(b, r) for r in range(b.total)] == [graph_of_rank(lo, hi, None, r) for r in range(b.total)]
+
+
 class TestMatrices:
     def test_mismatch(self):
         sp = enumerate_graphs(4, d=(1, 1, 1, 1))
