@@ -13,6 +13,7 @@ from .graphs import (
     is_graphical,
     read_edge_list,
     read_intervals,
+    read_missing_counts,
     realize,
     realize_in_interval,
     write_edge_list,
@@ -42,6 +43,7 @@ __all__ = [
     "make_rng",
     "read_edge_list",
     "read_intervals",
+    "read_missing_counts",
     "realize",
     "realize_in_interval",
     "spawn_rngs",

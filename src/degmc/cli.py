@@ -2,9 +2,9 @@
 
 Subcommands: ingest, sample, count, ladder, analyze, verify.  All outputs
 are machine-readable (JSON, plain edge lists); every command is
-deterministic given its inputs and --seed.  Flags are the only settings:
-no environment variable is read, so a command line and its inputs replay a
-run.
+deterministic given its inputs (and --seed, which only sample and count
+take).  Flags are the only settings: no environment variable is read, so
+a command line and its inputs replay a run.
 
 Exit codes: 0 success, 1 verification failure, 2 infeasible instance,
 3 parse/usage error, 4 instance beyond an exact path's size cap.  ``count``
@@ -33,10 +33,10 @@ from .graphs import (
     Infeasible,
     NotGraphical,
     ParseError,
-    input_lines,
     intervals_from_observation,
     read_edge_list,
     read_intervals,
+    read_missing_counts,
     realize,
     realize_in_interval,
     write_edge_list,
@@ -58,7 +58,6 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--output", type=str, default=None)
 
     sp = sub.add_parser("ingest", help="degree intervals from a partially observed graph")
@@ -72,6 +71,7 @@ def _build_parser():
     sp.add_argument("--steps", type=int, default=10000)
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--count", type=int, default=1, help="number of samples")
+    sp.add_argument("--seed", type=int, default=0)
     common(sp)
 
     sp = sub.add_parser("count", help="count the graphs in the class")
@@ -79,6 +79,7 @@ def _build_parser():
     sp.add_argument("--eps", type=float, default=0.1)
     sp.add_argument("--delta", type=float, default=0.05)
     sp.add_argument("--m", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=0)
     common(sp)
 
     sp = sub.add_parser("ladder", help="print the telescoping ladder for an instance")
@@ -128,17 +129,7 @@ def _instance_hash(iv):
 
 def cmd_ingest(args):
     g = read_edge_list(args.edges)
-    missing = {}
-    for lineno, _, parts in input_lines(args.missing):
-        if len(parts) != 2:
-            raise ParseError(f"{args.missing}:{lineno}: expected 'i k_i'", lineno)
-        try:
-            i, k = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"{args.missing}:{lineno}: non-integer field", lineno)
-        if i < 0:
-            raise ParseError(f"{args.missing}:{lineno}: negative node {i}", lineno)
-        missing[i] = k
+    missing = read_missing_counts(args.missing)
     # the nodes of both files: a node may have missing counts and no observed edge
     n = max(g.n, max(missing, default=-1) + 1)
     try:

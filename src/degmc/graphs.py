@@ -369,6 +369,7 @@ def intervals_from_observation(observed, missing):
 # Edge list: one "u v" pair per line, 0-based, '#' comments and blanks
 # ignored; a first line "# n=N" gives the node count.
 # Interval file: lines "i ell_i u_i".
+# Missing-count file: lines "i k_i".
 
 _N_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)\s*")
 
@@ -442,18 +443,28 @@ def write_edge_list(path, g):
         fh.truncate()
 
 
-def read_intervals(path):
+def _node_rows(path, form):
+    """{node: its other fields} of a file of lines ``form``, all integers
+    with the node first; a line of another shape, a negative node or a node
+    named twice is a ParseError naming the path and the line."""
     rows = {}
     for lineno, raw, parts in input_lines(path):
-        if len(parts) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 'i ell_i u_i', got {raw!r}", lineno)
+        if len(parts) != len(form.split()):
+            raise ParseError(f"{path}:{lineno}: expected '{form}', got {raw!r}", lineno)
         try:
-            i, lo, hi = (int(x) for x in parts)
+            i, *fields = (int(x) for x in parts)
         except ValueError:
             raise ParseError(f"{path}:{lineno}: non-integer field in {raw!r}", lineno)
+        if i < 0:
+            raise ParseError(f"{path}:{lineno}: negative node {i}", lineno)
         if i in rows:
             raise ParseError(f"{path}:{lineno}: duplicate node {i}", lineno)
-        rows[i] = (lo, hi)
+        rows[i] = fields
+    return rows
+
+
+def read_intervals(path):
+    rows = _node_rows(path, "i ell_i u_i")
     n = len(rows)
     if n == 0:
         raise ParseError(f"{path}: names no node")
@@ -465,6 +476,11 @@ def read_intervals(path):
         return DegreeInterval(lower, upper)
     except ValueError as e:
         raise ParseError(f"{path}: {e}")
+
+
+def read_missing_counts(path):
+    """{node: count of missing observations} of a missing-count file."""
+    return {i: k for i, (k,) in _node_rows(path, "i k_i").items()}
 
 
 def write_intervals(path, iv):

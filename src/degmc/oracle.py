@@ -948,76 +948,58 @@ class AlternatingPath:
         return g.with_edges(add=add, remove=remove)
 
 
-def _alt_bfs_dist(g, u):
-    """BFS distances over (node, parity) states ignoring edge-disjointness.
-
-    parity 0: the next step must traverse an edge; parity 1: a non-edge.
-    Lower bounds the alternating-path length from u.
-    """
-    n = g.n
-    adj = g.adjacency()
-    INF = float("inf")
-    dist = [[INF, INF] for _ in range(n)]
-    dist[u][0] = 0
-    frontier = [(u, 0)]
-    while frontier:
-        nxt = []
-        for (x, par) in frontier:
-            dd = dist[x][par]
-            if par == 0:
-                targets = adj[x]
-            else:
-                targets = (y for y in range(n) if y != x and y not in adj[x])
-            for y in targets:
-                if dist[y][1 - par] == INF:
-                    dist[y][1 - par] = dd + 1
-                    nxt.append((y, 1 - par))
-        frontier = nxt
-    return dist
+def _alt_steps(adj, n, x, par):
+    """The nodes one step from x, ascending: its neighbours at parity 0 (the
+    step must traverse an edge), its non-neighbours at parity 1."""
+    if par == 0:
+        return sorted(adj[x])
+    return [y for y in range(n) if y != x and y not in adj[x]]
 
 
 def find_alternating_path(g, u, v, k_max):
     """An alternating (u,v)-path of length <= k_max, or None.
 
-    Depth-first search with BFS lower-bound pruning; the edge-disjointness
-    constraint is enforced exactly.
+    Iterative deepening from a breadth-first lower bound that ignores
+    edge-disjointness; the depth-first search enforces it exactly.
     """
     if u == v:
         raise ValueError("u and v must differ")
-    dist = _alt_bfs_dist(g, u)
-    # the path ends arriving at v via a non-edge, i.e. leaves state parity 1
-    best_possible = dist[v][0]  # length when the walk stops at v expecting parity 0 next
-    if best_possible == float("inf") or best_possible > k_max:
-        return None
     adj = g.adjacency()
     n = g.n
+    # the path ends arriving at v via a non-edge, i.e. in state (v, 0)
+    seen = {(u, 0)}
+    frontier = {(u, 0)}
+    least = 0
+    while (v, 0) not in seen:
+        if not frontier or least == k_max:
+            return None
+        least += 1
+        frontier = {(y, 1 - par) for x, par in frontier for y in _alt_steps(adj, n, x, par)} - seen
+        seen |= frontier
+    path = [u]
+    used = set()
 
-    for limit in range(int(best_possible), k_max + 1, 2):
-        used = set()
-        path = [u]
-
-        def dfs(x, par, depth):
-            if x == v and par == 0 and depth > 0:
-                return True
-            if depth >= limit:
-                return False
-            targets = adj[x] if par == 0 else [y for y in range(n) if y != x and y not in adj[x]]
-            for y in sorted(targets):
-                pair = (x, y) if x < y else (y, x)
-                if pair in used:
-                    continue
-                used.add(pair)
-                path.append(y)
-                if dfs(y, 1 - par, depth + 1):
-                    return True
-                path.pop()
-                used.discard(pair)
+    def extend(limit):
+        x, par = path[-1], (len(path) - 1) % 2
+        if x == v and par == 0:  # v != u, so the path has left u
+            return True
+        if len(path) > limit:
             return False
+        for y in _alt_steps(adj, n, x, par):
+            pair = (x, y) if x < y else (y, x)
+            if pair in used:
+                continue
+            used.add(pair)
+            path.append(y)
+            if extend(limit):
+                return True
+            path.pop()
+            used.discard(pair)
+        return False
 
-        if dfs(u, 0, 0):
-            p = AlternatingPath(tuple(path))
-            if p.is_valid(g):
-                return p
+    for limit in range(least, k_max + 1, 2):
+        if extend(limit):
+            return AlternatingPath(tuple(path))
     return None
 
 
@@ -1035,8 +1017,8 @@ def strongly_stable_condition(d):
 def canonical_decomposition(g, g2):
     """Split E(g) xor E(g2) into alternating cycles and paths.
 
-    Around each node (in increasing label order), the lowest unpaired edge
-    of g is repeatedly paired with the lowest unpaired edge of g2, edges in
+    Around each node (in increasing label order), the k-th lowest edge of g
+    only is paired with the k-th lowest edge of g2 only, edges in
     lexicographic order.  The pairings link the symmetric-difference edges
     into alternating components; odd paths are classified by which graph
     contributes the extra edge.
@@ -1048,64 +1030,30 @@ def canonical_decomposition(g, g2):
         raise ValueError("graphs must share the node set")
     red = sorted(g.edges - g2.edges)  # in g only
     blue = sorted(g2.edges - g.edges)  # in g2 only
-    sym = red + blue
-    is_red = {e: True for e in red}
-    is_red.update({e: False for e in blue})
-    # slot bookkeeping: each edge can be paired once at each endpoint
-    free = {e: {e[0]: True, e[1]: True} for e in sym}
-    links = {e: [] for e in sym}
-    incident = {v: [] for v in range(g.n)}
-    for e in sym:
-        incident[e[0]].append(e)
-        incident[e[1]].append(e)
+    links = {e: [] for e in red + blue}
     for v in range(g.n):
-        while True:
-            reds = [e for e in incident[v] if is_red[e] and free[e][v]]
-            blues = [e for e in incident[v] if not is_red[e] and free[e][v]]
-            if not reds or not blues:
-                break
-            er = min(reds)
-            eb = min(blues)
-            free[er][v] = False
-            free[eb][v] = False
+        for er, eb in zip([e for e in red if v in e], [e for e in blue if v in e]):
             links[er].append(eb)
             links[eb].append(er)
-    # walk components
     seen = set()
     out = {"cycles": [], "even_paths": [], "g_paths": [], "g2_paths": []}
-    for start in sym:
+    for start in links:
         if start in seen:
             continue
+        # walk away from start through each of its links in turn; on a
+        # cycle the first walk comes back round and the second stops at once
         comp = [start]
-        seen.add(start)
-        # extend in both directions
-        for direction in (0, 1):
+        for side, cur in enumerate(links[start]):
+            trail = []
             prev = start
-            nbrs = links[start]
-            if len(nbrs) <= direction:
-                continue
-            cur = nbrs[direction]
-            while cur is not None and cur not in seen:
-                if direction == 0:
-                    comp.append(cur)
-                else:
-                    comp.insert(0, cur)
-                seen.add(cur)
-                nxt = [e for e in links[cur] if e != prev]
-                prev, cur = cur, (nxt[0] if nxt else None)
-        n_red = sum(1 for e in comp if is_red[e])
-        n_blue = len(comp) - n_red
-        closed = len(comp) > 1 and all(len(links[e]) == 2 for e in comp)
-        if closed:
-            out["cycles"].append(comp)
-        elif n_red == n_blue:
-            out["even_paths"].append(comp)
-        elif n_red == n_blue + 1:
-            out["g_paths"].append(comp)
-        elif n_blue == n_red + 1:
-            out["g2_paths"].append(comp)
-        else:
-            raise AssertionError("pairing produced a non-alternating component")
+            while cur is not None and cur not in comp:
+                trail.append(cur)
+                prev, cur = cur, next((e for e in links[cur] if e != prev), None)
+            comp = comp + trail if side == 0 else trail[::-1] + comp
+        seen.update(comp)
+        surplus = sum(1 if e in g.edges else -1 for e in comp)
+        closed = all(len(links[e]) == 2 for e in comp)
+        out["cycles" if closed else {0: "even_paths", 1: "g_paths", -1: "g2_paths"}[surplus]].append(comp)
     return out
 
 

@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, settings, exit codes."""
 
+import argparse
 import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ from degmc.cli import (
     EXIT_PARSE,
     EXIT_TOO_LARGE,
     EXIT_VERIFY_FAIL,
+    _build_parser,
     main,
 )
 from degmc import verify
@@ -25,6 +28,7 @@ from degmc.graphs import DegreeInterval, read_edge_list, read_intervals
 from degmc.oracle import DENSE_LIMIT
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -67,6 +71,14 @@ class TestIngest:
         for text in ("0 0\nnot a line\n", "0 -1\n", "0 1\n"):
             miss.write_text(text)
             assert main(["ingest", triangle, str(miss)]) == EXIT_PARSE
+
+    def test_duplicate_node(self, triangle, tmp_path, capsys):
+        """A node named twice in the missing-count file is a parse error, as
+        in an interval file, not a silent overwrite."""
+        miss = tmp_path / "dup.txt"
+        miss.write_text("0 1\n0 0\n")
+        assert main(["ingest", triangle, str(miss)]) == EXIT_PARSE
+        assert f"{miss}:2: duplicate node 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("unreadable", [0, 1], ids=["edges", "missing-counts"])
     def test_unreadable_file(self, triangle, tmp_path, capsys, unreadable):
@@ -374,6 +386,11 @@ class TestVerify:
                         exhaustive(n, lo, hi), abs=1e-12
                     ), (n, lo, hi)
 
+    def test_seed_is_not_an_option(self, capsys):
+        """verify draws nothing at random, so it takes no --seed."""
+        assert main(["verify", "formula", "--n", "4", "--seed", "3"]) == EXIT_PARSE
+        assert "--seed" in capsys.readouterr().err
+
     def test_unknown_suite_usage_error(self):
         assert main(["verify", "nonsense"]) == EXIT_PARSE
 
@@ -383,6 +400,25 @@ class TestVerify:
             verify.SUITES, "logconcave", verify.Suite(lambda n: ["x"], lambda x: [fail])
         )
         assert main(["verify", "logconcave"]) == EXIT_VERIFY_FAIL
+
+
+def test_readme_usage_matches_parser():
+    """Each command of the README's usage block names exactly the --options
+    its subparser takes, --help aside."""
+    block = README.read_text().split("## Command-line interface", 1)[1].split("```")[1]
+    usage = {}
+    for line in block.splitlines():
+        text = line.split("#", 1)[0]
+        if text.startswith("degmc "):
+            command = text.split()[1]
+            usage[command] = ""
+        if text.strip():
+            usage[command] += text
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(usage) == set(sub.choices)
+    for command, sp in sub.choices.items():
+        want = {o for a in sp._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        assert set(re.findall(r"--[a-z][a-z-]*", usage[command])) == want, command
 
 
 def test_environment_changes_no_run(iv5, tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 """Exact enumeration, counting, spectral and structural verification tools."""
 
+import hashlib
 import itertools
+import json
 import math
 from collections import Counter
 
@@ -792,7 +794,30 @@ class TestComponents:
         assert ncomp == 3
 
 
+def _seeded_graph(rng, n, p):
+    """A graph on n nodes with each pair an edge with probability p."""
+    return Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
 class TestAlternatingPaths:
+    # SHA-256 over the nodes (or None) of find_alternating_path(g, u, v, k)
+    # on 60 seeded graphs per n = 2..8, each with its own edge density, for
+    # every ordered (u, v) and k in (2, 6, 10): 30,240 queries, recorded
+    # before the search was rewritten
+    PINNED = "33c67180f33484c0c5acce9a0410151ca5caffdc86e8f4bb3abc9c5aeb9f2ac7"
+
+    def test_outputs_pinned(self):
+        h = hashlib.sha256()
+        for n in range(2, 9):
+            rng = make_rng(n)
+            for _ in range(60):
+                g = _seeded_graph(rng, n, rng.random())
+                for u, v in itertools.permutations(range(n), 2):
+                    for k in (2, 6, 10):
+                        p = find_alternating_path(g, u, v, k)
+                        h.update(repr(None if p is None else p.nodes).encode())
+        assert h.hexdigest() == self.PINNED
+
     def test_direct_path(self):
         g = Graph.from_edges(3, [(0, 1)])
         p = find_alternating_path(g, 0, 2, 10)
@@ -817,12 +842,37 @@ class TestAlternatingPaths:
                 if p is not None:
                     assert p.length <= 6 and p.is_valid(g)
 
+    # SHA-256 over the JSON of verify.run("stability", range(4, 7)), 7,944
+    # records; recorded before the search was rewritten
+    STABILITY = "6f0d492a0149299ca06de15884b03907d14c64d708183c6704f35e67f74f536d"
+
+    def test_stability_records_pinned(self):
+        records = verify.run("stability", range(4, 7))
+        assert len(records) == 7944
+        blob = json.dumps(records, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.STABILITY
+
     def test_stability_condition(self):
         assert strongly_stable_condition((2, 2, 2, 2, 2, 2))
         assert not strongly_stable_condition((5, 1, 1, 1, 1, 1))
 
 
 class TestCanonicalDecomposition:
+    # SHA-256 over repr(canonical_decomposition(g, g2)) on 500 seeded pairs
+    # per n = 2..8, each pair with its own edge density; recorded before the
+    # decomposition was rewritten
+    PINNED = "0436970644d82d0f64868131ef2430f99976fc9095e31137652d00ec8949823a"
+
+    def test_outputs_pinned(self):
+        h = hashlib.sha256()
+        for n in range(2, 9):
+            rng = make_rng(100 + n)
+            for _ in range(500):
+                p = rng.random()
+                g, g2 = _seeded_graph(rng, n, p), _seeded_graph(rng, n, p)
+                h.update(repr(canonical_decomposition(g, g2)).encode())
+        assert h.hexdigest() == self.PINNED
+
     def test_pure_cycle(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         g2 = Graph.from_edges(4, [(0, 2), (1, 3)])
