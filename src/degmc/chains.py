@@ -12,7 +12,10 @@ Three kernels are provided, each a seeded single-step function:
   addition-deletion).
 
 Each move is defined once, as an in-place function in ``MOVES``:
-``run_with_rng`` runs it, ``step`` is a run of one step, and
+``run_with_rng`` runs it and returns the final state as a ``Graph`` built
+once, by ``Graph._trusted``, from the neighbour sets (no move can make a
+self-loop or a label outside 0..n-1, so nothing is checked again),
+``step`` is a run of one step, and
 ``oracle.build_matrix`` and ``oracle.state_graph_components`` read their
 toggle patterns off it.  The chain state is a list of per-node neighbour
 sets ``nb``, with the degrees ``deg``; every move is called as
@@ -211,8 +214,9 @@ def run_with_rng(kernel, g0, steps, rng):
     Draws the stream in blocks of ``BLOCK`` rows, the last cut to the steps
     that remain, and applies each non-held row's move in place, so a run of
     s steps returns what s one-step runs return and leaves ``rng`` in the
-    same state.  Raises ValueError if g0 is outside the kernel's state
-    space."""
+    same state.  Returns the final state, built from the neighbour sets by
+    ``Graph._trusted``.  Raises ValueError if g0 is outside the kernel's
+    state space."""
     n, nb = kernel.n, g0.adjacency()
     deg = [len(row) for row in nb]
     if not kernel.admits(deg, len(g0.edges)):
@@ -224,7 +228,9 @@ def run_with_rng(kernel, g0, steps, rng):
         moves, labels = _decode(rng.random((min(BLOCK, steps - start), ROW)), hold, cuts, n)
         for k, v, w, x, y in zip(moves, *labels):
             fns[k](nb, deg, lo, hi, v, w, x, y)
-    return Graph.from_adjacency(nb)
+    # the moves never put a label outside 0..n-1 or a node in its own set,
+    # so the edge set is built without the checks of Graph.from_adjacency
+    return Graph._trusted(n, frozenset([(i, j) for i, row in enumerate(nb) for j in row if i < j]))
 
 
 # The in-place moves.  Each takes the neighbour sets nb, the degrees deg, the

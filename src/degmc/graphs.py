@@ -13,6 +13,9 @@ import itertools
 import os
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
+
+import numpy as np
 
 
 class NotGraphical(ValueError):
@@ -428,13 +431,22 @@ def read_edge_list(path):
     return Graph.from_edges(max_node + 1 if n is None else n, pairs)
 
 
+@lru_cache(maxsize=8)
+def _labels(n):
+    """The strings that start and end an edge line, per node label below n."""
+    return [f"{i} " for i in range(n)], [f"{j}\n" for j in range(n)]
+
+
 def write_edge_list(path, g):
-    # Sorting integer keys i * n + j beats sorting the pairs, and one format
-    # of the whole list beats one per line.
+    """Write g as '# n=N' and one 'i j' line per edge, i < j, in ascending
+    order: a numpy sort of the keys i * n + j, and a join of cached label
+    strings, not a format per line."""
     n = g.n
-    keys = sorted([i * n + j for i, j in g.edges])
-    pairs = itertools.chain.from_iterable(map(divmod, keys, itertools.repeat(n)))
-    text = f"# n={n}\n" + "%d %d\n" * len(keys) % tuple(pairs)
+    keys = np.array([i * n + j for i, j in g.edges], dtype=np.int64)
+    keys.sort()
+    first, second = np.divmod(keys, n)
+    left, right = _labels(n)
+    text = f"# n={n}\n" + "".join([left[i] + right[j] for i, j in zip(first.tolist(), second.tolist())])
     # Overwrite in place, then cut to length.  Truncating to zero on open
     # makes ext4 start writing the file back to disk at close (auto_da_alloc),
     # a disk flush per file that costs more than the write itself.

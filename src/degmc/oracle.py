@@ -44,24 +44,34 @@ states' masks with every change's pattern at once, in at most
 the space (``_ranker``).  The table runs by ascending mask difference and
 includes the hold, so the matrix's entries come out row by row with
 ascending columns, and its CSR is assembled without a sort.
+``state_graph_components`` keeps the pass's (source, target) row pairs as
+int32 and finds the components itself (``_lowest_states``): min-label
+propagation with pointer jumping, each round hooking roots onto the lowest
+root across their edges and dropping the edges inside one root, until none
+is left; the labels are numbered by each component's lowest state, as
+scipy's ``connected_components`` numbers them.
 
 Transition matrices are CSR at every size.  ``spectral_gap`` and
 ``tv_curve`` take them, or a dense array, in one form chosen by size alone
 (``_spectral_form``): dense below ``SPARSE_FROM`` states, where the gap is
 a full ``eigvalsh``; CSR from there on, where the gap is the smaller of the
 top two Lanczos eigenvalues (ARPACK) of the sparse symmetrized matrix and
-the curve steps by sparse products.  ``check_stochastic``,
+the curve steps by sparse products.  ``tv_curve`` steps into a block of
+rows of at most ``_BLOCK_CELLS`` cells and sums each block's distances in
+one call.  ``check_stochastic``,
 ``congestion_check`` and ``verify_martin_randall`` read the entries of
 either form as they are, and the decomposition check slices its
 restriction chains from the CSR.  So nothing densifies a matrix of
 ``SPARSE_FROM`` states or more, and every check works on any space the
-enumeration reaches.
+enumeration reaches.  ``congestion_check`` and ``verify_martin_randall``
+check P once and take its gap from ``_gap``, the unchecked body of
+``spectral_gap``.
 
 scipy is imported inside the functions that build or read CSR matrices
-(``build_matrix``, ``_spectral_form``, ``spectral_gap``,
-``state_graph_components``, ``verify_martin_randall``), so the counts, the
-walk and the enumeration, which the sampling and counting commands use,
-never load it.
+(``build_matrix``, ``_spectral_form``, ``_gap``,
+``verify_martin_randall``), so the counts, the walk and the enumeration,
+which the sampling and counting commands use, never load it, and neither
+does ``state_graph_components``.
 """
 
 from __future__ import annotations
@@ -672,10 +682,15 @@ def spectral_gap(P, pi=None):
     a disconnected chain has 1 twice and gap 0.  ArpackNoConvergence
     propagates rather than an unconverged value.
     """
+    return _gap(check_stochastic(_spectral_form(P), 1e-9), pi)
+
+
+def _gap(P, pi):
+    """spectral_gap of P in the form _spectral_form gives, unchecked: for
+    callers that have run check_stochastic on P already."""
     import scipy.sparse as sp
     from scipy.sparse.linalg import eigsh
 
-    P = check_stochastic(_spectral_form(P), 1e-9)
     size = P.shape[0]
     if size == 1:
         return 1.0
@@ -693,7 +708,10 @@ def spectral_gap(P, pi=None):
 def tv_curve(P, x0, t_max, pi=None):
     """Total-variation distance from stationarity at t = 0..t_max from state x0.
 
-    The distribution steps as P^T dist, in the form _spectral_form picks.
+    The distribution steps as P^T dist, in the form _spectral_form picks,
+    into the rows of a block of at most _BLOCK_CELLS cells (one row at
+    least), so memory stays O(block), and each block's distances come from
+    one vectorized sum.
     """
     step = _spectral_form(P).T
     size = step.shape[0]
@@ -701,10 +719,14 @@ def tv_curve(P, x0, t_max, pi=None):
         pi = np.full(size, 1.0 / size)
     dist = np.zeros(size)
     dist[x0] = 1.0
+    block = np.empty((max(1, min(t_max + 1, _BLOCK_CELLS // size)), size))
     out = []
-    for _ in range(t_max + 1):
-        out.append(0.5 * float(np.abs(dist - pi).sum()))
-        dist = step @ dist
+    for t0 in range(0, t_max + 1, len(block)):
+        rows = block[: t_max + 1 - t0]
+        for row in rows:
+            row[:] = dist
+            dist = step @ dist
+        out += (0.5 * np.abs(rows - pi).sum(axis=1)).tolist()
     return out
 
 
@@ -740,7 +762,7 @@ def congestion_check(P, pi=None):
         raise ValueError("flow crosses a zero-probability transition")
     sigma = float((flow / q).max())
     ell = size - 1
-    gap = spectral_gap(P, pi)
+    gap = _gap(_spectral_form(P), pi)
     bound = sigma * ell
     return {"sigma": sigma, "ell": ell, "bound": bound, "gap": gap, "holds": gap >= 1.0 / bound - 1e-12}
 
@@ -884,32 +906,71 @@ def state_graph_components(space, moves=("switch", "hinge", "add_delete")):
     A move is legal iff its structural edge conditions hold and the result
     is again in the space, so membership of both endpoints is the full
     legality test.  One blocked pass over the changes with delta > 0 of the
-    moves' change table (``_change_table``): each one's reverse is in the
-    table too, and the adjacency is undirected.  ValueError for a move name
-    not in ``chains.MOVES``.
+    moves' change table (``_change_table``) yields the state graph's edges
+    as row pairs, the source below the target: each change's reverse is in
+    the table too, and the adjacency is undirected.  The pairs are kept as
+    int32, and ``_lowest_states`` reads the components off them, with no
+    CSR and no scipy.  Returns (number of components, int32 label per
+    state), the labels numbered by each component's lowest state, as
+    scipy's ``connected_components`` numbers them.  ValueError for a move
+    name not in ``chains.MOVES``.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
     # attempt probabilities only weight the matrix; any will do here
     ch = _change_table(space.n, tuple((move, 1.0) for move in moves))
     masks = space.masks
     size = len(masks)
     if size == 0:
-        return 0, np.array([], dtype=int)
+        return 0, np.array([], dtype=np.int32)
     rows_of = _ranker(masks, space.n)
     up = ch.delta > 0
     toggle, before, delta = ch.toggle[up], ch.before[up], ch.delta[up]
-    counts = np.zeros(size, dtype=np.int64)
-    cols = []
+    lows, highs = [], []
     for src, c in _matches(masks, toggle, before):
         dst, member = rows_of(masks[src] + delta[c])
-        np.add.at(counts, src[member], 1)
-        cols.append(dst[member].astype(np.int32))
-    cols = np.concatenate(cols)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    adj = sp.csr_matrix((np.ones(len(cols), dtype=np.int8), cols, indptr), shape=(size, size))
-    return connected_components(adj, directed=False)
+        # a target's mask, and so its row, is above its source's
+        lows.append(src[member].astype(np.int32))
+        highs.append(dst[member].astype(np.int32))
+    # the pairs are the bulk of the memory: free each list once it is joined
+    low = np.concatenate(lows)
+    del lows
+    high = np.concatenate(highs)
+    del highs
+    root = _lowest_states(size, low, high)
+    lowest = root == np.arange(size, dtype=np.int32)
+    number = np.cumsum(lowest, dtype=np.int32) - 1
+    return int(number[-1]) + 1, number[root]
+
+
+def _lowest_states(size, low, high):
+    """Per state, the lowest state of its component in the graph with the
+    edges (low[k], high[k]), low[k] < high[k], as int32.
+
+    Min-label propagation with pointer jumping.  Every state points at a
+    state of its component no higher than itself, at first itself; a root
+    points at itself.  The edges are kept between roots.  A round points
+    each edge's higher root at the lowest root it meets across its edges,
+    jumps pointers until every state points at a root, maps the edges to
+    their roots and drops those inside one root.  Each round lowers the
+    higher root of every edge left, so the loop ends; it ends with no edge
+    between two roots, so each component has one root, which is its lowest
+    state, since pointers only descend.  On a path 0 - 1 - ... - k one round
+    and log k jumps do it."""
+    label = np.arange(size, dtype=np.int32)
+    while len(low):
+        np.minimum.at(label, high, low)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+        # one pair array at a time, to keep a single extra copy alive
+        low = label[low]
+        high = label[high]
+        apart = low != high
+        low = low[apart]
+        high = high[apart]
+        low, high = np.minimum(low, high), np.maximum(low, high)
+    return label
 
 
 # --- alternating paths ------------------------------------------------------
@@ -1134,7 +1195,7 @@ def verify_martin_randall(P, partition, pi=None):
         np.fill_diagonal(P_mh, 1.0 - P_mh.sum(axis=1))
         gap_mh = spectral_gap(P_mh, block_pi / block_pi.sum())
 
-    gap_p = spectral_gap(P, pi)
+    gap_p = _gap(_spectral_form(P), pi)
     rhs = beta * gamma * gap_mh * min(restriction_gaps)
     return {
         "beta": beta,

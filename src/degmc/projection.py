@@ -257,16 +257,16 @@ def edge_count_step(m_index, weights, rng):
 def edge_count_matrix(weights):
     """Explicit matrix of the lazy birth-death chain on edge counts."""
     w = np.asarray(weights, dtype=float)
-    if np.any(w <= 0):
+    if (w <= 0).any():
         raise NotPositive("edge-count weights must be positive")
     size = len(w)
     P = np.zeros((size, size))
-    for i in range(size):
-        for j in (i - 1, i + 1):
-            accept = _birth_death(i, j, w)
-            if accept is not None:
-                P[i, j] = 0.25 * accept
-        P[i, i] = 1.0 - P[i].sum()
+    # the diagonals as strided views of the flat matrix: the acceptances of
+    # _birth_death above and below it, then the hold
+    flat = P.reshape(-1)
+    flat[1 :: size + 1] = 0.25 * np.minimum(1.0, w[1:] / w[:-1])
+    flat[size :: size + 1] = 0.25 * np.minimum(1.0, w[:-1] / w[1:])
+    flat[:: size + 1] = 1.0 - P.sum(axis=1)
     return P
 
 

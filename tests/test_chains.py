@@ -234,6 +234,35 @@ class TestKernels:
             assert run_with_rng(kernel, g0, steps, make_rng(21)) == g
             assert g != g0 and kernel.contains(g)
 
+    def test_result_is_from_adjacency_of_the_run(self):
+        """The graph run_with_rng returns equals Graph.from_adjacency of the
+        neighbour sets that the same seeded run, replayed here through the
+        in-place moves, leaves, for all three kernels; its edges are
+        normalized pairs in a frozenset, as from_adjacency builds them."""
+        n, steps = 40, 3 * BLOCK + 5
+        rng = make_rng(17)
+        lower = tuple(4 + int(b) for b in rng.integers(0, 2, n))
+        iv = DegreeInterval(lower, tuple(a + int(b) for a, b in zip(lower, rng.integers(0, 2, n))))
+        g0 = realize_in_interval(iv, (sum(iv.lower) + sum(iv.upper)) // 4)
+        kernels = (
+            SwitchKernel(d=g0.degree_sequence()),
+            SwitchHingeFlipKernel(iv, m=g0.num_edges),
+            DegreeIntervalKernel(iv),
+        )
+        for seed, kernel in enumerate(kernels):
+            nb = g0.adjacency()
+            deg = [len(row) for row in nb]
+            hold, cuts, fns = kernel.branches()
+            box = kernel.interval
+            for u, *xs in make_rng(seed).random((steps, ROW)):
+                if u >= hold:
+                    labels = [int(x * n) for x in xs]
+                    fns[int(np.searchsorted(cuts, u, side="right"))](nb, deg, box.lower, box.upper, *labels)
+            want = Graph.from_adjacency(nb)
+            got = run_with_rng(kernel, g0, steps, make_rng(seed))
+            assert got == want and got != g0 and hash(got) == hash(want)
+            assert type(got.edges) is frozenset and all(i < j for i, j in got.edges)
+
     def test_block_boundaries(self):
         """At every run length around the block size, run_with_rng returns
         what repeated one-step runs (kernel.step) return and leaves the rng

@@ -404,7 +404,8 @@ class TestVerify:
 
 def test_readme_usage_matches_parser():
     """Each command of the README's usage block names exactly the --options
-    its subparser takes, --help aside."""
+    its subparser takes, --help aside, and brackets an option exactly when
+    the parser gives it a default, i.e. does not require it."""
     block = README.read_text().split("## Command-line interface", 1)[1].split("```")[1]
     usage = {}
     for line in block.splitlines():
@@ -419,6 +420,13 @@ def test_readme_usage_matches_parser():
     for command, sp in sub.choices.items():
         want = {o for a in sp._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
         assert set(re.findall(r"--[a-z][a-z-]*", usage[command])) == want, command
+        optional = {o for a in sp._actions for o in a.option_strings if not a.required}
+        depth = 0
+        for token in re.findall(r"\[|\]|--[a-z][a-z-]*", usage[command]):
+            depth += {"[": 1, "]": -1}.get(token, 0)
+            if token.startswith("--"):
+                assert (depth > 0) == (token in optional), (command, token)
+        assert depth == 0, command
 
 
 def test_environment_changes_no_run(iv5, tmp_path, monkeypatch):

@@ -314,6 +314,35 @@ class TestFiles:
             read_edge_list(path)
         assert ei.value.line_number == 3
 
+    @staticmethod
+    def former_edge_text(g):
+        """The edge-list text as the writer formatted it before it joined
+        cached label strings: the pairs sorted by i * n + j, one "%d %d"
+        format of the whole list."""
+        n = g.n
+        keys = sorted([i * n + j for i, j in g.edges])
+        pairs = itertools.chain.from_iterable(map(divmod, keys, itertools.repeat(n)))
+        return f"# n={n}\n" + "%d %d\n" * len(keys) % tuple(pairs)
+
+    @pytest.mark.parametrize("n", [1, 2, 300, 2000])
+    def test_edge_list_bytes_match_former_writer(self, tmp_path, n):
+        """The same bytes as the former formatter, for the empty graph, the
+        complete graph up to 300 nodes and seeded graphs whose labels reach
+        past 256."""
+        rng = np.random.default_rng(n)
+        gs = [Graph.empty(n)]
+        if n <= 300:
+            gs.append(Graph.complete(n))
+        for edges in (3, 5 * n):
+            pairs = rng.integers(0, n, size=(edges, 2))
+            gs.append(Graph.from_edges(n, [(int(i), int(j)) for i, j in pairs if i != j]))
+        if n > 257:
+            assert max(j for _, j in gs[-1].edges) >= 257
+        path = tmp_path / "g.edges"
+        for g in gs:
+            write_edge_list(path, g)
+            assert path.read_bytes() == self.former_edge_text(g).encode()
+
     def test_edge_list_overwrite(self, tmp_path):
         """Rewriting a file with a shorter edge list leaves only the new one."""
         path = tmp_path / "g.edges"

@@ -564,6 +564,27 @@ class TestSparsePath:
         with pytest.raises(ValueError, match="no states"):
             tv_curve(self.empty_chain(), 0, 4)
 
+    def test_tv_curve_spans_row_blocks(self, large_matrices, monkeypatch):
+        """Curves that fill several row blocks, on the dense path (112
+        states, 585 rows a block) and on the CSR path (1,760 states, 37 rows
+        a block), each given as CSR and as an array, then with blocks of one
+        row."""
+        iv = DegreeInterval((1,) * 5, (2,) * 5)
+        small = oracle.build_matrix(DegreeIntervalKernel(iv), enumerate_graphs(5, interval=iv))
+        large = next(P for P in large_matrices if P.shape[0] == 1760)
+        cases = [(small, 1300), (large, 100)]
+        for P, t_max in cases:
+            assert t_max + 1 > 2 * (oracle._BLOCK_CELLS // P.shape[0])
+        for cells in (oracle._BLOCK_CELLS, 1):
+            monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
+            for P, t_max in cases:
+                x0 = P.shape[0] // 3
+                want = dense_tv_curve(P, x0, t_max)
+                for form in (P, P.toarray()):
+                    got = tv_curve(form, x0, t_max)
+                    assert len(got) == t_max + 1
+                    assert np.abs(np.subtract(got, want)).max() <= 1e-14
+
     def test_tv_curves_match(self, large_matrices):
         for P in large_matrices[::4]:
             x0 = P.shape[0] // 3
@@ -639,6 +660,23 @@ class TestCongestion:
             sigma = max(sigma, flow / (pi[z] * P[z, z + 1]), flow / (pi[z + 1] * P[z + 1, z]))
         for form in (P, sparse.csr_matrix(P)):
             assert congestion_check(form, pi)["sigma"] == pytest.approx(sigma, rel=1e-14)
+
+    def test_checks_stochasticity_once(self, monkeypatch):
+        """congestion_check and verify_martin_randall check P once (the
+        latter also checks its smaller restriction and projection chains);
+        the gap they report is spectral_gap's."""
+        calls = []
+        real = oracle.check_stochastic
+        monkeypatch.setattr(oracle, "check_stochastic", lambda P, tol=1e-12: calls.append(P.shape) or real(P, tol))
+        w = [1.0, 4.0, 6.0, 4.0, 1.0]
+        P = projection.edge_count_matrix(w)
+        for form in (P, sparse.csr_matrix(P)):
+            calls.clear()
+            rep = congestion_check(form, np.array(w) / sum(w))
+            assert calls == [(5, 5)] and rep["gap"] == spectral_gap(P, np.array(w) / sum(w))
+            calls.clear()
+            rep = verify_martin_randall(form, [[0, 1], [2, 3, 4]])
+            assert calls.count((5, 5)) == 1 and rep["gap"] == spectral_gap(P)
 
     def test_rejects_non_birth_death(self):
         for form in (np.asarray, sparse.csr_matrix):
@@ -792,6 +830,108 @@ class TestComponents:
         sp = enumerate_graphs(4, d=(1, 1, 1, 1))
         ncomp, _ = state_graph_components(sp, moves=("add_delete",))
         assert ncomp == 3
+
+    MOVE_SETS = [moves for k in range(1, 4) for moves in itertools.combinations(MOVES, k)]
+
+    @staticmethod
+    def assert_matches_scipy(space, moves):
+        got = state_graph_components(space, moves)
+        want = scipy_components(space, moves)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1]), (space.description, moves)
+        assert got[1].dtype == np.int32
+        return got[0]
+
+    def test_matches_scipy_on_the_kernel_spaces(self):
+        """Every space of TestSharedPass.kernels() under every nonempty set
+        of moves, most of them disconnected."""
+        split = 0
+        for kernel in TestSharedPass.kernels():
+            space = verify.state_space(kernel)
+            for moves in self.MOVE_SETS:
+                split += self.assert_matches_scipy(space, moves) > 1
+        assert split
+
+    @given(enumeration_cases(), st.sampled_from(MOVE_SETS))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scipy_on_enumerated_spaces(self, case, moves):
+        n, d, iv, m = case
+        self.assert_matches_scipy(enumerate_graphs(n, d=d, interval=iv, m=m), moves)
+
+    def test_switch_only_splits_degree_sequences(self):
+        """The switch keeps degrees, so on a box with several degree
+        sequences each sequence is a union of components."""
+        for lo, hi, n in [(1, 2, 5), (1, 3, 6), (2, 3, 6)]:
+            space = enumerate_graphs(n, interval=DegreeInterval((lo,) * n, (hi,) * n))
+            ncomp = self.assert_matches_scipy(space, ("switch",))
+            assert ncomp >= len(np.unique(space.degrees(), axis=0)) > 1
+
+    def test_random_subspaces(self):
+        """Seeded random halves of [1,3]^6: many components, some single states."""
+        full = enumerate_graphs(6, interval=DegreeInterval((1,) * 6, (3,) * 6))
+        rng = np.random.default_rng(5)
+        for keep in (0.05, 0.3, 0.6):
+            space = oracle.StateSpace(6, full.masks[rng.random(len(full)) < keep])
+            for moves in self.MOVE_SETS:
+                self.assert_matches_scipy(space, moves)
+
+    def test_space_without_pairs(self):
+        """No state reaches another: every state is its own component."""
+        for space, moves in [
+            (enumerate_graphs(4, d=(1, 1, 1, 1)), ("hinge",)),  # a hinge flip moves degrees
+            (oracle.StateSpace(4, np.array([0, 3, 12, 48], dtype=np.int64)), tuple(MOVES)),
+            (oracle.StateSpace(5, np.array([7], dtype=np.int64)), tuple(MOVES)),
+        ]:
+            ncomp, labels = state_graph_components(space, moves)
+            assert ncomp == len(space) and np.array_equal(labels, np.arange(len(space)))
+            self.assert_matches_scipy(space, moves)
+
+    @staticmethod
+    def snake(bits, length, rng):
+        """Masks of an induced path in the cube of `bits` bits, in path
+        order: each flips one bit of the last, and is next to no earlier
+        mask but the last."""
+        path, seen = [0], {0}
+        while len(path) < length:
+            cur = path[-1]
+            steps = [cur ^ 1 << b for b in range(bits)]
+            free = [x for x in steps if x not in seen and all(x ^ 1 << c in (cur,) or x ^ 1 << c not in seen
+                                                              for c in range(bits))]
+            if not free:
+                break
+            path.append(free[rng.integers(len(free))])
+            seen.add(path[-1])
+        return path
+
+    def test_path_shaped_state_graphs(self):
+        """Additions and deletions along an induced path of masks make a
+        path-shaped state graph, its states out of path order: the
+        propagation ends with one component.  Cut at every 40th state it
+        falls into paths, which must match scipy's components."""
+        path = self.snake(21, 1500, np.random.default_rng(2))
+        assert len(path) == 1500
+        space = oracle.StateSpace(7, np.sort(np.array(path, dtype=np.int64)))
+        ncomp, labels = state_graph_components(space, ("add_delete",))
+        assert ncomp == 1 and not labels.any()
+        cut = oracle.StateSpace(7, np.sort(np.array([x for k, x in enumerate(path) if k % 40 != 39])))
+        assert self.assert_matches_scipy(cut, ("add_delete",)) == 38
+        line = oracle.StateSpace(5, np.array([(1 << k) - 1 for k in range(11)], dtype=np.int64))
+        ncomp, labels = state_graph_components(line, ("add_delete",))
+        assert ncomp == 1 and not labels.any()
+
+
+def scipy_components(space, moves):
+    """(ncomp, labels) of the state graph from scipy's connected_components,
+    the reference for state_graph_components: the adjacency is built here
+    from every firing change of the moves' table, at once over the whole
+    space, with targets found by np.isin and searchsorted."""
+    ch = oracle._change_table(space.n, tuple((move, 1.0) for move in moves))
+    masks = space.masks
+    src, c = np.nonzero(((masks[:, None] & ch.toggle) == ch.before) & (ch.delta != 0))
+    dst = masks[src] + ch.delta[c]
+    inside = np.isin(dst, masks)
+    rows, cols = src[inside], np.searchsorted(masks, dst[inside])
+    adj = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(masks), len(masks)))
+    return csgraph.connected_components(adj, directed=False)
 
 
 def _seeded_graph(rng, n, p):
